@@ -11,8 +11,9 @@ identical to a serial run. ``--shards N`` runs the shard-aware experiments
 on the parallel sharded engine (bit-identical results, plus a ``[shard:]``
 footer); ``--cache`` serves unchanged experiments from ``.bench_cache.json``.
 Every run records its wall-clock per experiment in ``BENCH_hotpath.json``
-and ends with a one-line perf-stats footer (segment-cache hit rates,
-vectorized pack-path counters).
+(``--no-record`` writes no ``BENCH_*.json`` file at all) and ends with a
+one-line perf-stats footer (segment-cache hit rates, vectorized
+pack-path counters).
 """
 
 from __future__ import annotations
@@ -61,14 +62,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-record",
         action="store_true",
-        help="do not update BENCH_hotpath.json with this run's wall-clock",
+        help="write no BENCH_*.json file: neither this run's wall-clock "
+        "nor the experiments' comparison pins",
     )
     parser.add_argument(
         "--shards",
         type=int,
         default=1,
         metavar="N",
-        help="run shard-aware experiments (fig3, faultmx, scale) on the "
+        help="run shard-aware experiments (fig3, faultmx, zoo, scale) on the "
         "sharded engine with N worker processes; results are bit-identical "
         "to sequential (default 1 = sequential)",
     )

@@ -241,7 +241,8 @@ def tab3_stencil(scale: str = "full", iterations: int = 3) -> dict:
     return _stencil_table("float64", scale, iterations)
 
 
-def scale_weak_stencil(scale: str = "full", shards: int = 0) -> dict:
+def scale_weak_stencil(scale: str = "full", shards: int = 0,
+                       record: bool = True) -> dict:
     """Weak-scaling stencil halo exchange, sequential vs the sharded engine.
 
     Runs the ``tab2``-style mv2nc halo exchange at 8/16/32/64 ranks with a
@@ -250,8 +251,8 @@ def scale_weak_stencil(scale: str = "full", shards: int = 0) -> dict:
     shard bridge). Each rank count runs sequentially and under the sharded
     engine (``shards`` of 0 sweeps {2, 4}); the simulated iteration times
     must be identical in every configuration (shard invariance is asserted,
-    not assumed), and the sequential-vs-widest-sharded wall-clocks are
-    pinned per rank count in ``BENCH_shard.json``.
+    not assumed), and with ``record`` the sequential-vs-widest-sharded
+    wall-clocks are pinned per rank count in ``BENCH_shard.json``.
 
     Wall-clock speedup from sharding is bounded by the host's CPU cores
     (the workers are real processes); the ledger records the core count
@@ -297,11 +298,12 @@ def scale_weak_stencil(scale: str = "full", shards: int = 0) -> dict:
                 )
             point["sharded_wall"][nsh] = wall
             row.append(f"{wall:.2f} ({seq_wall / wall:.2f}x)")
-        widest = max(point["sharded_wall"])
-        record_shard_wallclock(
-            f"scale{nranks}", scale, seq_wall,
-            point["sharded_wall"][widest], widest,
-        )
+        if record:
+            widest = max(point["sharded_wall"])
+            record_shard_wallclock(
+                f"scale{nranks}", scale, seq_wall,
+                point["sharded_wall"][widest], widest,
+            )
         result["points"].append(point)
         rows.append(row)
 
@@ -320,7 +322,7 @@ def scale_weak_stencil(scale: str = "full", shards: int = 0) -> dict:
     return result
 
 
-def scale1024_weak_stencil(scale: str = "full") -> dict:
+def scale1024_weak_stencil(scale: str = "full", record: bool = True) -> dict:
     """Weak scaling to 1024 ranks over a hierarchical fat-tree fabric.
 
     The frontier of the sharded engine: a 32 x 32 stencil grid (16 x 16 at
@@ -336,8 +338,9 @@ def scale1024_weak_stencil(scale: str = "full") -> dict:
     Nodes carry reduced memory arenas (a 1024-node world at the default
     12 GiB per node would ask the host for terabytes of address space);
     the halo-exchange traffic itself is unchanged. Shard invariance of the
-    simulated iteration times is asserted, and the wall-clock pair plus
-    the invariance verdict are pinned in ``BENCH_shard.json``.
+    simulated iteration times is asserted, and with ``record`` the
+    wall-clock pair plus the invariance verdict are pinned in
+    ``BENCH_shard.json``.
     """
     import time
 
@@ -371,11 +374,12 @@ def scale1024_weak_stencil(scale: str = "full") -> dict:
             f"hierarchical coordination -- shard invariance broken"
         )
     sim_seconds = max(sum(ts) for ts in seq.iteration_times)
-    entry = record_shard_wallclock(
-        f"scale{nranks}fat", scale, seq_wall, shard_wall, shards,
-        extra={"invariant": True, "leaf_size": leaf,
-               "inter_latency": topo.inter_latency},
-    )
+    if record:
+        record_shard_wallclock(
+            f"scale{nranks}fat", scale, seq_wall, shard_wall, shards,
+            extra={"invariant": True, "leaf_size": leaf,
+                   "inter_latency": topo.inter_latency},
+        )
     import os as _os
 
     result = {
@@ -392,7 +396,7 @@ def scale1024_weak_stencil(scale: str = "full") -> dict:
          "Invariant"],
         [[str(nranks), str(shards), str(leaf),
           format_time(sim_seconds, "ms"), f"{seq_wall:.2f}",
-          f"{shard_wall:.2f} ({entry['speedup']:.2f}x)",
+          f"{shard_wall:.2f} ({seq_wall / shard_wall:.2f}x)",
           "yes" if invariant else "NO"]],
         title=f"Weak scaling to {nranks} ranks: fat-tree fabric, "
         f"hierarchical coordination ({shards} shards, pods of 8)",
@@ -700,7 +704,7 @@ def fault_matrix(scale: str = "full", verify: bool = True,
 
 
 def dtype_zoo(scale: str = "full", shards: int = 1) -> dict:
-    """Equivalent-layout zoo: the datatype IR's canonicalization win.
+    """Equivalent-layout zoo: the datatype IR's canonicalization at work.
 
     Two families of layouts, each buildable through several MPI datatype
     constructors that describe the *same* bytes:
@@ -715,23 +719,20 @@ def dtype_zoo(scale: str = "full", shards: int = 1) -> dict:
     The workload commits many *fresh* instances of every construction and
     drives each through the full compiled-state surface (transfer-plan
     compilation, per-chunk slicing and gather indices, simulated stage
-    costs, tuning signatures), once with ``use_dtir=False`` (every
-    instance compiles its own state) and once with the IR on (equivalent
-    constructions collapse onto one canonical registry entry and share
-    everything). Packed bytes, simulated costs and signatures are
-    asserted identical between the modes -- and across the members of
-    each family -- before the wall-clock pair is recorded in
-    ``BENCH_dtype.json`` (CI pins the speedup at >= 1.2x). ``shards > 1``
-    additionally replays a pipelined engine exchange in both modes and
-    asserts the merged traces are bit-identical.
+    costs, tuning signatures). It asserts that each family collapses onto
+    one canonical registry entry, that two fresh instances of a
+    construction get the very same plan object, and that packed bytes,
+    simulated costs and signatures are identical across the members of
+    each family. ``shards > 1`` additionally replays a pipelined engine
+    exchange sequentially and on the sharded engine (whose workers
+    re-bind unpickled datatypes to their own registry) and asserts the
+    merged traces are bit-identical.
     """
     import hashlib
-    import time
 
     from ..hw.memory import Arena
     from ..mpi import FLOAT, Datatype
     from ..mpi import dtir
-    from ..perf.hotpath import record_dtype_comparison
     from ..perf.stats import PERF
 
     rows = (1 << 16) if scale == "full" else (1 << 13)
@@ -796,63 +797,48 @@ def dtype_zoo(scale: str = "full", shards: int = 1) -> dict:
             cp.gather_into(src, dst[cp.lo:cp.hi])
         return hashlib.blake2b(dst.tobytes(), digest_size=16).hexdigest()
 
-    def run_mode(enabled):
-        dtir.reset_registry()
-        dtir.set_enabled(enabled)
-        fingerprint = {}
-        entries = {}
-        plans = {}
-        # Correctness surface, outside the timed loop: packed bytes,
-        # simulated stage costs and signatures of one fresh instance of
-        # every construction.
+    dtir.reset_registry()
+    c0 = PERF.snapshot()
+    fingerprint = {}
+    entries = {}
+    # Correctness surface: packed bytes, simulated stage costs and
+    # signatures of one fresh instance of every construction, plus a
+    # second fresh instance whose plan must be the very same object.
+    for fam, nm, fn in builders:
+        dt = fn().commit()
+        plan = dt.plan_for(count, chunk, "device", "host")
+        costs = plan.costs_for(hw)
+        fingerprint[(fam, nm)] = (
+            packed_digest(dt),
+            dt.layout_signature(1).key(),
+            plan.nchunks,
+            tuple(sum(costs[k]) for k in ("pack", "d2h", "h2d")),
+        )
+        entries[(fam, nm)] = dt._entry()
+        if fn().commit().plan_for(count, chunk, "device", "host") is not plan:
+            raise RuntimeError(
+                f"zoo: two fresh {fam}/{nm} instances compiled distinct "
+                f"plans -- entry plan cache not shared"
+            )
+    for _ in range(reps):
         for fam, nm, fn in builders:
             dt = fn().commit()
             plan = dt.plan_for(count, chunk, "device", "host")
-            costs = plan.costs_for(hw)
-            fingerprint[(fam, nm)] = (
-                packed_digest(dt),
-                dt.layout_signature(1).key(),
-                plan.nchunks,
-                tuple(sum(costs[k]) for k in ("pack", "d2h", "h2d")),
-            )
-            entries[(fam, nm)] = dt._entry()
-            # A second *fresh* instance of the same construction: with the
-            # IR on its plan must be the very same object.
-            plans[(fam, nm)] = (
-                plan, fn().commit().plan_for(count, chunk, "device", "host")
-            )
-        start = time.perf_counter()
-        for _ in range(reps):
-            for fam, nm, fn in builders:
-                dt = fn().commit()
-                plan = dt.plan_for(count, chunk, "device", "host")
-                plan.costs_for(hw)
-                dt.layout_signature(count)
-                dt.segments_for_count(count)
-        wall = time.perf_counter() - start
-        return fingerprint, entries, plans, wall
+            plan.costs_for(hw)
+            dt.layout_signature(count)
+            dt.segments_for_count(count)
 
-    prior = dtir.enabled()
-    c0 = PERF.snapshot()
-    try:
-        run_mode(False)  # warm numpy/allocator before either timed pass
-        legacy_fp, _, legacy_plans, legacy_wall = run_mode(False)
-        dtir_fp, entries, dtir_plans, dtir_wall = run_mode(True)
-    finally:
-        dtir.set_enabled(prior)
-
-    if legacy_fp != dtir_fp:
-        raise RuntimeError(
-            "zoo: packed bytes / costs / signatures diverged between "
-            "use_dtir modes -- canonicalization is not bit-transparent"
-        )
     for fam, members in families:
-        digests = {legacy_fp[(fam, nm)][0] for nm, _ in members}
-        sigs = {legacy_fp[(fam, nm)][1] for nm, _ in members}
-        if len(digests) != 1 or len(sigs) != 1:
+        fps = {fingerprint[(fam, nm)] for nm, _ in members}
+        if len(fps) != 1:
             raise RuntimeError(
-                f"zoo: {fam} family members packed different bytes or "
-                f"signatures -- the constructions are not equivalent"
+                f"zoo: {fam} family members packed different bytes, costs "
+                f"or signatures -- the constructions are not equivalent"
+            )
+        if len({id(entries[(fam, nm)]) for nm, _ in members}) != 1:
+            raise RuntimeError(
+                f"zoo: {fam} family did not collapse onto one canonical "
+                f"registry entry"
             )
 
     delta = {
@@ -860,78 +846,42 @@ def dtype_zoo(scale: str = "full", shards: int = 1) -> dict:
         for k in ("dtir_canon", "dtir_collision", "dtir_entry_reuse",
                   "dtir_plan_shared", "dtir_sig_shared", "dtir_seg_shared")
     }
-    if not dtir._FORCED_OFF:
-        for fam, members in families:
-            fam_entries = {id(entries[(fam, nm)]) for nm, _ in members}
-            if len(fam_entries) != 1 or entries[(fam, members[0][0])] is None:
-                raise RuntimeError(
-                    f"zoo: {fam} family did not collapse onto one "
-                    f"canonical registry entry"
-                )
-        for fam, nm, _ in builders:
-            first, second = dtir_plans[(fam, nm)]
-            if first is not second:
-                raise RuntimeError(
-                    f"zoo: two fresh {fam}/{nm} instances compiled "
-                    f"distinct plans with use_dtir on -- entry plan cache "
-                    f"not shared"
-                )
-        if delta["dtir_collision"] == 0 or delta["dtir_plan_shared"] == 0:
-            raise RuntimeError(
-                "zoo: expected canonical collisions and shared plans with "
-                f"use_dtir on; counters: {delta}"
-            )
-        record_dtype_comparison(
-            "zoo", scale, legacy_wall, dtir_wall,
-            extra={"instances": reps * len(builders),
-                   "collisions": delta["dtir_collision"],
-                   "plans_shared": delta["dtir_plan_shared"]},
-        )
-
-    result = {
-        "legacy_wall": legacy_wall,
-        "dtir_wall": dtir_wall,
-        "speedup": legacy_wall / dtir_wall if dtir_wall > 0 else 0.0,
-        "counters": delta,
-        "forced_off": dtir._FORCED_OFF,
-    }
+    result = {"counters": delta}
 
     trace_note = ""
     if shards > 1:
-        trace_note = "\n" + _zoo_trace_equality(shards)
+        trace_note = "\n" + _zoo_shard_equality(shards)
 
     rows_txt = []
     for fam, members in families:
         rows_txt.append([
             fam, str(len(members)), str(reps * len(members)),
-            str(legacy_fp[(fam, members[0][0])][1]),
+            str(fingerprint[(fam, members[0][0])][1]),
         ])
     result["text"] = table(
         ["Family", "Constructions", "Instances", "Canonical class"],
         rows_txt,
         title=f"Datatype zoo: equivalent layouts x {reps} reps, count={count}",
     ) + (
-        f"\n\nlegacy (use_dtir=False): {legacy_wall:.2f}s   "
-        f"dtir: {dtir_wall:.2f}s   speedup {result['speedup']:.2f}x\n"
-        f"canonicalized {delta['dtir_canon']}, collisions "
+        f"\n\ncanonicalized {delta['dtir_canon']}, collisions "
         f"{delta['dtir_collision']}, shared plans "
         f"{delta['dtir_plan_shared']} / signatures "
         f"{delta['dtir_sig_shared']} / tilings {delta['dtir_seg_shared']}\n"
-        "packed bytes, simulated costs and signatures identical in both "
-        "modes (verified)" + trace_note
+        "one registry entry per family; packed bytes, simulated costs and "
+        "signatures identical across family members (verified)" + trace_note
     )
     return result
 
 
-def _zoo_trace_equality(shards: int) -> str:
-    """Pipelined engine exchange under both dtir modes: traces must match."""
+def _zoo_shard_equality(shards: int) -> str:
+    """Pipelined engine exchange, sequential vs sharded: traces must match."""
     from ..mpi import BYTE, Datatype, MpiWorld
 
     rows_n = 1 << 12
 
-    def run(use_dtir):
+    def run(nshards):
         vec = Datatype.hvector(rows_n, 4, 8, BYTE).commit()
-        cluster = Cluster(2, shards=shards)
+        cluster = Cluster(2, shards=nshards)
 
         def program(ctx):
             buf = ctx.cuda.malloc(rows_n * 8)
@@ -940,27 +890,18 @@ def _zoo_trace_equality(shards: int) -> str:
             else:
                 yield from ctx.comm.Recv(buf, 1, vec, source=0)
 
-        MpiWorld(cluster, gpu_config=GpuNcConfig(use_dtir=use_dtir)).run(
-            program
-        )
-        return cluster.tracer.intervals
+        MpiWorld(cluster).run(program)
+        return cluster.tracer.canonical()
 
-    from ..mpi import dtir
-
-    prior = dtir.enabled()
-    try:
-        with_ir = run(True)
-        without = run(False)
-    finally:
-        dtir.set_enabled(prior)
-    if with_ir != without:
+    sequential = run(1)
+    if run(shards) != sequential:
         raise RuntimeError(
-            f"zoo: engine traces diverged between use_dtir modes at "
+            f"zoo: engine traces diverged between sequential and "
             f"shards={shards}"
         )
     return (
-        f"engine exchange at shards={shards}: {len(with_ir)} trace "
-        f"intervals bit-identical with use_dtir on/off (verified)"
+        f"engine exchange at shards={shards}: {len(sequential[0])} trace "
+        f"intervals bit-identical to the sequential run (verified)"
     )
 
 
@@ -1000,7 +941,8 @@ def _backend_irregular_digest(backend: str, nseg: int, seed: int) -> str:
     return world.run(program)[1]
 
 
-def conformance(scale: str = "full", verify: bool = True) -> dict:
+def conformance(scale: str = "full", verify: bool = True,
+                record: bool = True) -> dict:
     """Backend conformance: every transfer backend, mechanically checked.
 
     Sweeps zoo-style layouts (a fine 4-byte-segment vector, a wide
@@ -1023,8 +965,9 @@ def conformance(scale: str = "full", verify: bool = True) -> dict:
     through :func:`~repro.core.backends.guideline_backend` so a backend
     whose *modeled* cost is out of tolerance can never be picked on a
     lucky measurement), the tuned chooser re-runs every point against
-    the default config, and each pair is pinned in ``BENCH_backend.json``
-    -- where CI asserts speedup >= 1.0 everywhere and > 1.0 somewhere.
+    the default config, and with ``record`` each pair is pinned in
+    ``BENCH_backend.json`` -- where CI asserts speedup >= 1.0 everywhere
+    and > 1.0 somewhere.
     """
     from ..baselines import manual_pipeline_latency, naive_vector_latency
     from ..core.backends import (
@@ -1128,10 +1071,11 @@ def conformance(scale: str = "full", verify: bool = True) -> dict:
             )
         speedup = default_lat / tuned_lat if tuned_lat else 1.0
         speedups.append(speedup)
-        record_backend_comparison(
-            f"{layout}:s{size_bucket(size)}", default_lat, tuned_lat,
-            winner, default_chunk,
-        )
+        if record:
+            record_backend_comparison(
+                f"{layout}:s{size_bucket(size)}", default_lat, tuned_lat,
+                winner, default_chunk,
+            )
         rows.append([
             layout, format_size(size),
             f"{naive_lat * 1e6:.1f}", f"{manual_lat * 1e6:.1f}",
@@ -1240,7 +1184,8 @@ def _coll_program(ctx, nr: int, n: int, variant: str, data, verify: bool):
     return {"elapsed": elapsed, "out": out}
 
 
-def coll_datatype_aware(scale: str = "full", verify: bool = True) -> dict:
+def coll_datatype_aware(scale: str = "full", verify: bool = True,
+                        record: bool = True) -> dict:
     """Datatype-aware collectives vs. the naive pack-then-exchange.
 
     A 4-rank column-block exchange (the transpose communication kernel)
@@ -1259,8 +1204,9 @@ def coll_datatype_aware(scale: str = "full", verify: bool = True) -> dict:
     context (``coll:f4``) and mirror the default transfer geometry: it
     must reproduce the aware latency exactly while resolving through the
     context rows (``coll_tuned_hit``), proving the context plumbing end
-    to end. Each (size-bucket) pair is pinned in ``BENCH_coll.json``;
-    full scale requires >= 1.2x on at least one bucket.
+    to end. With ``record`` each (size-bucket) pair is pinned in
+    ``BENCH_coll.json``; full scale requires >= 1.2x on at least one
+    bucket.
     """
     from ..mpi import Datatype
     from ..perf.hotpath import record_coll_comparison
@@ -1352,10 +1298,11 @@ def coll_datatype_aware(scale: str = "full", verify: bool = True) -> dict:
         schedule = "small" if delta["coll_small_sched"] else "large"
         speedup = naive_t / aware_t if aware_t else 1.0
         speedups.append(speedup)
-        record_coll_comparison(
-            f"blockx4:s{size_bucket(blk)}", naive_t, aware_t,
-            schedule, delta["coll_messages"],
-        )
+        if record:
+            record_coll_comparison(
+                f"blockx4:s{size_bucket(blk)}", naive_t, aware_t,
+                schedule, delta["coll_messages"],
+            )
         result_points.append({
             "block_bytes": blk, "naive": naive_t, "aware": aware_t,
             "schedule": schedule, "messages": delta["coll_messages"],

@@ -126,7 +126,8 @@ def _cache_store(entries: Dict[str, dict]) -> None:
 
 # -- runners --------------------------------------------------------------------
 
-def run_one(name: str, scale: str, shards: int = 1) -> RunResult:
+def run_one(name: str, scale: str, shards: int = 1,
+            record: bool = True) -> RunResult:
     """Run one experiment in this process (the pool's worker function).
 
     Resets the perf counters so the returned snapshot is attributable to
@@ -134,7 +135,10 @@ def run_one(name: str, scale: str, shards: int = 1) -> RunResult:
     per (experiment, scale) -- the experiments already use explicit
     ``default_rng`` seeds, this just pins anything that might not.
     ``shards > 1`` is forwarded to experiments that accept it (``fig3``,
-    ``faultmx``, ``scale``); others run sequentially as always.
+    ``faultmx``, ``zoo``, ``scale``); others run sequentially as always.
+    ``record`` is forwarded to experiments that pin comparison ledgers
+    (``scale``, ``scale1024``, ``conformance``, ``coll``): with it off
+    they write no ``BENCH_*.json`` file.
     """
     import inspect
 
@@ -144,8 +148,11 @@ def run_one(name: str, scale: str, shards: int = 1) -> RunResult:
     PERF.reset()
     fn = EXPERIMENTS[name]
     kwargs = {"scale": scale}
-    if shards > 1 and "shards" in inspect.signature(fn).parameters:
+    params = inspect.signature(fn).parameters
+    if shards > 1 and "shards" in params:
         kwargs["shards"] = shards
+    if "record" in params:
+        kwargs["record"] = record
     start = time.perf_counter()
     result = fn(**kwargs)
     elapsed = time.perf_counter() - start
@@ -165,7 +172,8 @@ def run_many(
     ``jobs`` of ``None`` or ``1`` runs serially in-process (no pool, no
     pickling). Results always come back in submission order; when
     ``record`` is set each run's wall-clock is written to
-    ``BENCH_hotpath.json``. With ``cache=True``, runs whose
+    ``BENCH_hotpath.json`` and the experiments pin their comparison
+    ledgers; with it off no ``BENCH_*.json`` file is written. With ``cache=True``, runs whose
     ``(name, scale, seed, git HEAD)`` key is already stored are served
     from ``.bench_cache.json`` instead of re-running (see module
     docstring for the invalidation rules).
@@ -188,11 +196,12 @@ def run_many(
     to_run = [n for n in names if n not in cached_results]
 
     if jobs is None or jobs == 1 or len(to_run) <= 1:
-        fresh = [run_one(name, scale, shards) for name in to_run]
+        fresh = [run_one(name, scale, shards, record) for name in to_run]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(to_run))) as pool:
             futures = [
-                pool.submit(run_one, name, scale, shards) for name in to_run
+                pool.submit(run_one, name, scale, shards, record)
+                for name in to_run
             ]
             fresh = [f.result() for f in futures]
 

@@ -96,7 +96,7 @@ def dtype_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
     canonicalized, canonical collisions (distinct constructions that
     collapsed onto one form), pass rewrite counts and the compiled state
     (tilings/slices/plans/signatures) served across instances. Nonzero
-    whenever ``use_dtir`` is on and derived datatypes were committed.
+    whenever derived datatypes were committed or used.
     """
     if snapshot is None:
         return PERF.dtype_footer()

@@ -4,10 +4,10 @@ Every pipelined device transfer walks the same per-chunk structure: byte
 range, segment slice, stage labels and stage durations. Legacy code
 recomputed all of that -- plus a staging-hop copy through the device tbuf --
 for every chunk of every message. A :class:`TransferPlan` compiles the
-structure **once** per ``(datatype version, count, chunk size, src kind,
-dst kind)`` and is cached on the :class:`~repro.mpi.datatype.Datatype`
-itself (see :meth:`~repro.mpi.datatype.Datatype.plan_for`), so a steady
-stream of same-shaped messages replays flat, preresolved chunk records.
+structure **once** per ``(layout, count, extent, chunk size, src kind,
+dst kind)`` and is cached in the datatype's canonical registry entry (see
+:meth:`~repro.mpi.datatype.Datatype.plan_for`), so a steady stream of
+same-shaped messages replays flat, preresolved chunk records.
 
 Replay preserves the simulated schedule bit-for-bit: the plan carries the
 exact labels and durations the legacy path would have produced, and the
@@ -113,22 +113,21 @@ class TransferPlan:
     """The compiled form of one pipelined transfer shape.
 
     Immutable once compiled; safe to share across every message with the
-    same ``(datatype version, count, chunk_bytes, src kind, dst kind)``
+    same ``(layout, count, extent, chunk_bytes, src kind, dst kind)``
     signature. Stage *durations* are not baked in -- datatype objects (and
     therefore plans) are shared across worlds with different hardware
     configurations -- but are memoized per config in :meth:`costs_for`.
     """
 
     __slots__ = (
-        "type_id", "version", "count", "chunk_bytes", "total", "nchunks",
+        "type_id", "count", "chunk_bytes", "total", "nchunks",
         "kind", "base_offset", "src_kind", "dst_kind", "chunks",
         "_cost_cache",
     )
 
-    def __init__(self, type_id, version, count, chunk_bytes, total, nchunks,
+    def __init__(self, type_id, count, chunk_bytes, total, nchunks,
                  kind, base_offset, src_kind, dst_kind, chunks):
         self.type_id = type_id
-        self.version = version
         self.count = count
         self.chunk_bytes = chunk_bytes
         self.total = total
@@ -169,7 +168,7 @@ class TransferPlan:
                 csegs.gather_indices()
             chunks.append(ChunkPlan(i, lo, hi, csegs))
         return cls(
-            dtype.type_id, dtype.version, count, chunk_bytes, total, nchunks,
+            dtype.type_id, count, chunk_bytes, total, nchunks,
             kind, base, src_kind, dst_kind, tuple(chunks),
         )
 
@@ -207,7 +206,7 @@ class TransferPlan:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<TransferPlan type{self.type_id}v{self.version} x{self.count} "
+            f"<TransferPlan type{self.type_id} x{self.count} "
             f"{self.kind} {self.total}B/{self.nchunks}ch "
             f"{self.src_kind}->{self.dst_kind}>"
         )

@@ -9,6 +9,8 @@ simulator is real byte movement that tests can check end to end.
 
 from __future__ import annotations
 
+import mmap
+import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +39,33 @@ class InvalidPointerError(ValueError):
 
 def _align_up(n: int, alignment: int = ALIGNMENT) -> int:
     return (n + alignment - 1) // alignment * alignment
+
+
+#: ``MAP_NORESERVE`` (not exported by Python 3.11's :mod:`mmap`; 0x4000 is
+#: its Linux value): the kernel reserves no swap for the mapping, so a
+#: 12 GiB modeled host memory costs nothing until its pages are touched.
+_MAP_NORESERVE = getattr(mmap, "MAP_NORESERVE", 0x4000)
+
+
+def _zeroed_bytes(size: int, space: str, name: str) -> np.ndarray:
+    """``size`` zero bytes whose pages are committed only on first write.
+
+    Modeled capacity (gigabytes per node) is decoupled from resident
+    memory: on Linux the bytes are an anonymous private mapping with
+    ``MAP_NORESERVE``, which heuristic overcommit never refuses for its
+    size alone. Elsewhere the flag has no meaning and ``np.zeros`` (which
+    also relies on lazily committed zero pages) is used.
+    """
+    if not sys.platform.startswith("linux"):
+        return np.zeros(size, dtype=np.uint8)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | _MAP_NORESERVE
+    try:
+        mapping = mmap.mmap(-1, size, flags=flags)
+    except OSError as exc:
+        raise OutOfMemoryError(
+            f"{space} arena {name!r}: cannot map {size} bytes: {exc}"
+        ) from exc
+    return np.frombuffer(mapping, dtype=np.uint8)
 
 
 class BufferPtr:
@@ -163,7 +192,7 @@ class Arena:
         # ``backing`` lets a caller supply the storage bytes -- the shard
         # payload arenas hand in views of ``multiprocessing.shared_memory``
         # segments so staged RDMA payloads cross process boundaries without
-        # serialization. Default is a private (lazily committed) zero page.
+        # serialization. Default is private, lazily committed zero pages.
         if backing is not None:
             if backing.dtype != np.uint8 or backing.ndim != 1:
                 raise ValueError("arena backing must be a 1-D uint8 array")
@@ -173,7 +202,7 @@ class Arena:
                 )
             self.raw = backing[:size]
         else:
-            self.raw = np.zeros(size, dtype=np.uint8)
+            self.raw = _zeroed_bytes(size, space, name)
         # Free list: sorted list of (offset, length) holes.
         self._free: List[Tuple[int, int]] = [(0, size)]
         self._live: Dict[int, int] = {}  # offset -> allocated length

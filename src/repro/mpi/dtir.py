@@ -28,41 +28,34 @@ This module is that normal form. The op set is deliberately tiny:
     one of the regular forms above or detection demotes it to
     ``Irregular``.
 
-Two routes produce the canonical node, and they must agree:
-
-* the **symbolic** route -- constructors build an IR tree and
-  :func:`repro.mpi.dtir_passes.canonicalize` rewrites it to fixpoint
-  (struct flattening, contiguous coalescing, stride unification,
-  dimension normalization);
-* the **detection** route -- :func:`detect` reconstructs the maximal
-  grid structure directly from the compiled run arrays.
-
-Detection is authoritative: the coalesced run sequence *is* the
-semantics of a committed type, so a deterministic function of it is a
-sound canonical form by construction (two types get the same node iff
-they lay out the same bytes in the same pack order). The symbolic route
-provides the pass-level observability counters and, under
-``REPRO_DTIR_VERIFY=1``, a cross-check that every rewrite preserved the
-lowering exactly.
+The canonical node is computed by **detection**: :func:`detect`
+reconstructs the maximal grid structure directly from a type's
+coalesced run arrays. The run sequence *is* the semantics of a type, so
+a deterministic function of it is a sound canonical form by
+construction (two types get the same node iff they lay out the same
+bytes in the same pack order). Constructors also build a symbolic IR
+tree, which :func:`repro.mpi.dtir_passes.canonicalize` rewrites to
+fixpoint (struct flattening, contiguous coalescing, stride unification,
+dimension normalization) for the pass-level observability counters; the
+property tests pin that its lowering equals the detected one.
 
 Canonical nodes key a process-wide **registry** of
-:class:`CanonicalEntry` objects holding the shared caches (tilings,
-chunk slices, transfer plans, tuning signatures). ``lb``/``extent`` are
-deliberately *excluded* from the canonical key -- that is the
-``resized``/``dup`` normalization: a resized variant shares the entry
-and differs only in the ``(count, extent)`` cache keys where tiling
-makes the extent observable.
+:class:`CanonicalEntry` objects -- the one place a datatype's compiled
+state lives (tilings, chunk slices, transfer plans, tuning signatures).
+``lb``/``extent`` are deliberately *excluded* from the canonical key --
+that is the ``resized``/``dup`` normalization: a resized variant shares
+the entry and differs only in the ``(count, extent)`` cache keys where
+tiling makes the extent observable.
 
-Everything here is wall-clock only. Entries are seeded from the legacy
-compiler's own segment lists and every shared artifact is bit-identical
-to a per-instance compilation, so simulated traces cannot change
-(``use_dtir`` on/off trace equality is pinned by the test suite).
+Everything here is wall-clock only: every cached artifact is
+bit-identical to a from-scratch compilation of the caller's own runs
+(pinned by the property tests), so simulated traces cannot depend on
+which instance compiled it first.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -94,44 +87,7 @@ __all__ = [
     "register",
     "registry_size",
     "reset_registry",
-    "enabled",
-    "set_enabled",
-    "verifying",
 ]
-
-# ---------------------------------------------------------------------------
-# Enable switch
-# ---------------------------------------------------------------------------
-
-#: ``REPRO_DTIR=0`` is a hard off-switch: it wins over every engine
-#: config constructed later (the CI equivalence matrix relies on it).
-_FORCED_OFF = os.environ.get("REPRO_DTIR", "1").lower() in ("0", "false", "no")
-
-#: Module-level gate mirrored from ``GpuNcConfig.use_dtir`` by the engine.
-#: When off, committed datatypes keep the legacy per-instance compilation
-#: path bit-for-bit.
-_ENABLED = not _FORCED_OFF
-
-
-def enabled() -> bool:
-    """Whether committed datatypes route through the canonical registry."""
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> None:
-    """Flip the process-wide gate (called by the engine from its config).
-
-    The ``REPRO_DTIR=0`` environment override is sticky: a config cannot
-    re-enable the IR in a process that was started with it forced off.
-    """
-    global _ENABLED
-    _ENABLED = bool(flag) and not _FORCED_OFF
-
-
-def verifying() -> bool:
-    """Expensive self-checks: assert symbolic == detected == legacy runs."""
-    return os.environ.get("REPRO_DTIR_VERIFY", "").lower() not in ("", "0")
-
 
 # ---------------------------------------------------------------------------
 # The op set
@@ -197,8 +153,8 @@ class BlockGrid:
 class Irregular:
     """Any run sequence with no grid structure, identified by digest.
 
-    Holds the run arrays themselves (for lowering and verification);
-    equality and hashing use the content digest so an Irregular node is
+    Holds the run arrays themselves (for lowering and for telling a
+    digest collision from a shared layout); equality and hashing use the content digest so an Irregular node is
     as cheap to compare as the symbolic forms.
     """
 
@@ -359,8 +315,8 @@ def struct_node(children) -> object:
 def lower(node) -> Tuple[np.ndarray, np.ndarray]:
     """Run arrays ``(offsets, lengths)`` of a node, in pack order.
 
-    Used by verification and the property tests; the hot path never
-    lowers (entries are seeded with the legacy compiler's arrays).
+    Used by the property tests; the hot path never lowers (entries are
+    seeded with the registering type's compiled arrays).
     """
     if isinstance(node, Empty):
         z = np.empty(0, np.int64)
@@ -515,7 +471,7 @@ class LayoutClass:
     """The one classification both fast paths and tuning keys consume.
 
     ``kind`` is ``"empty"`` / ``"contig"`` / ``"uniform"`` /
-    ``"irregular"``. The legacy code had *two* classifiers
+    ``"irregular"``. Earlier code had *two* classifiers
     (``SegmentList._classify_uniform`` and
     ``tune.signature.signature_of_segments``) that could disagree on the
     edges; both now derive from this class:
@@ -597,8 +553,8 @@ def classify_node(node) -> LayoutClass:
 class CanonicalEntry:
     """Process-wide shared caches of one canonical layout.
 
-    Every committed :class:`~repro.mpi.datatype.Datatype` whose runs
-    canonicalize to the same node holds the same entry, so tilings,
+    Every :class:`~repro.mpi.datatype.Datatype` whose runs canonicalize
+    to the same node holds the same entry, so tilings,
     chunk slices, transfer plans and tuning signatures compiled by *any*
     instance serve *all* of them. Cache values carry the ``type_id``
     that created them: a hit from a different type is a cross-instance
@@ -607,6 +563,8 @@ class CanonicalEntry:
     ``lb``/``extent`` never enter the canonical key; they appear inside
     the cache keys exactly where tiling makes them observable
     (``count > 1``), which is the resized/dup extent normalization.
+    Nothing in an entry can go stale: a type's runs are fixed at
+    construction and every cache key spells out the rest.
     """
 
     SEG_CAP = 64
@@ -624,7 +582,7 @@ class CanonicalEntry:
         #: The seed run arrays (the first registrant's compiled segments).
         self.segments = segments
         self.creator = creator
-        # (count, extent) -> (SegmentList, creator_id)
+        # (count, tile extent) -> (SegmentList, creator_id)
         self.seg_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         # (count, extent, lo, hi) -> (SegmentList, creator_id)
         self.slice_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -635,8 +593,8 @@ class CanonicalEntry:
 
     # -- shared compilations -------------------------------------------------
     def segments_for(self, count: int, extent: int, caller: int):
-        """The shared ``count``-element tiling (count >= 2)."""
-        key = (count, extent)
+        """The shared ``count``-element tiling."""
+        key = (count, _tile_extent(count, extent))
         hit = self.seg_cache.get(key)
         if hit is not None:
             self.seg_cache.move_to_end(key)
@@ -654,7 +612,7 @@ class CanonicalEntry:
     def slice_for(self, full, count: int, extent: int, lo: int, hi: int,
                   caller: int):
         """The shared chunk slice ``[lo, hi)`` of ``count`` elements."""
-        key = (count, extent, lo, hi)
+        key = (count, _tile_extent(count, extent), lo, hi)
         hit = self.slice_cache.get(key)
         if hit is not None:
             self.slice_cache.move_to_end(key)
@@ -669,17 +627,11 @@ class CanonicalEntry:
             self.slice_cache.popitem(last=False)
         return segs
 
-    def plan_for(self, dtype, count: int, extent: int, chunk_bytes: int,
+    def plan_for(self, dtype, count: int, chunk_bytes: int,
                  src_kind: str, dst_kind: str):
-        """The shared compiled TransferPlan for one transfer shape.
-
-        The caller's ``version`` participates in the key so the legacy
-        invalidation contract holds: ``invalidate_segment_cache()`` bumps
-        the version and therefore forces a fresh compilation, while
-        never-invalidated instances (version 0, the steady state) keep
-        sharing one plan per shape.
-        """
-        key = (dtype.version, count, extent, chunk_bytes, src_kind, dst_kind)
+        """The shared compiled TransferPlan for one transfer shape."""
+        key = (count, _tile_extent(count, dtype.extent), chunk_bytes,
+               src_kind, dst_kind)
         hit = self.plan_cache.get(key)
         if hit is not None:
             self.plan_cache.move_to_end(key)
@@ -697,9 +649,9 @@ class CanonicalEntry:
             self.plan_cache.popitem(last=False)
         return plan
 
-    def signature_for(self, dtype, count: int, extent: int):
+    def signature_for(self, dtype, count: int):
         """The shared tuning-table signature of ``count`` elements."""
-        key = (count, extent)
+        key = (count, _tile_extent(count, dtype.extent))
         hit = self.sig_cache.get(key)
         if hit is not None:
             if hit[1] != dtype.type_id:
@@ -714,6 +666,11 @@ class CanonicalEntry:
         return sig
 
 
+def _tile_extent(count: int, extent: int) -> int:
+    """The extent as a cache key: only a tiling (``count > 1``) sees it."""
+    return extent if count > 1 else 0
+
+
 #: canonical key -> CanonicalEntry, LRU-capped.
 _REGISTRY: "OrderedDict[tuple, CanonicalEntry]" = OrderedDict()
 REGISTRY_CAP = 256
@@ -724,64 +681,42 @@ def registry_size() -> int:
 
 
 def reset_registry() -> None:
-    """Drop all entries (tests / benchmarks isolating the two modes)."""
+    """Drop all entries (tests and benchmarks measuring cold compiles)."""
     _REGISTRY.clear()
 
 
-def register(segments, ir_node, type_id: int) -> Optional[CanonicalEntry]:
-    """Canonicalize a committed type's runs and bind its registry entry.
+def register(segments, ir_node, type_id: int) -> CanonicalEntry:
+    """Canonicalize a type's runs and bind its registry entry.
 
     ``ir_node`` is the constructor's symbolic tree when one was built
     (None otherwise); it feeds the pass pipeline for the rewrite
-    counters and the verify-mode cross-check. Detection on ``segments``
-    is authoritative for the canonical key either way.
+    counters. Detection on ``segments`` is authoritative for the
+    canonical key. A regular key (``Contig``/``StridedRun``/``BlockGrid``)
+    spells out the exact runs; an ``Irregular`` digest key is confirmed
+    against the entry's run arrays on a hit, and a digest collision gets
+    a private, unregistered entry so it never shares compilations.
     """
     from .dtir_passes import canonicalize
 
     PERF.bump("dtir_canon")
     det = detect(segments.offsets, segments.lengths)
     if ir_node is not None:
-        sym = canonicalize(ir_node)
-        if verifying():
-            # A symbolic Struct fixpoint may hold runs the legacy compiler
-            # merged across part boundaries, so compare the *coalesced*
-            # lowerings: they must be byte-for-byte the legacy arrays.
-            s_off, s_len = coalesce_runs(*lower(sym))
-            if not (np.array_equal(s_off, segments.offsets)
-                    and np.array_equal(s_len, segments.lengths)):
-                raise AssertionError(
-                    f"dtir verify: symbolic lowering diverged from the "
-                    f"legacy compiler (sym {s_off[:4]}... vs "
-                    f"legacy {segments.offsets[:4]}...)"
-                )
-            if not isinstance(sym, (Struct, Irregular)) and sym != det:
-                raise AssertionError(
-                    f"dtir verify: symbolic canonical {sym!r} != detected "
-                    f"{det!r}"
-                )
+        canonicalize(ir_node)
     key = det.key()
     entry = _REGISTRY.get(key)
-    if entry is not None:
-        _REGISTRY.move_to_end(key)
-        # The canonical key is derived from the run arrays, so members
-        # must agree on them; guard the O(1) invariants always and the
-        # full arrays under verify mode.
-        if (segments.count != entry.segments.count
-                or segments.total_bytes != entry.segments.total_bytes):
-            if verifying():  # pragma: no cover - requires a digest collision
-                raise AssertionError("dtir verify: canonical key collision")
-            return None  # never share on mismatch; legacy path takes over
-        if verifying() and not (
-            np.array_equal(segments.offsets, entry.segments.offsets)
-            and np.array_equal(segments.lengths, entry.segments.lengths)
-        ):  # pragma: no cover - requires a digest collision
-            raise AssertionError("dtir verify: canonical key collision")
-        PERF.bump("dtir_entry_reuse")
-        if type_id != entry.creator:
-            PERF.bump("dtir_collision")
+    if entry is None:
+        entry = CanonicalEntry(key, det, segments, creator=type_id)
+        _REGISTRY[key] = entry
+        if len(_REGISTRY) > REGISTRY_CAP:
+            _REGISTRY.popitem(last=False)
         return entry
-    entry = CanonicalEntry(key, det, segments, creator=type_id)
-    _REGISTRY[key] = entry
-    if len(_REGISTRY) > REGISTRY_CAP:
-        _REGISTRY.popitem(last=False)
+    if isinstance(det, Irregular) and not (
+        np.array_equal(segments.offsets, entry.segments.offsets)
+        and np.array_equal(segments.lengths, entry.segments.lengths)
+    ):
+        return CanonicalEntry(key, det, segments, creator=type_id)
+    _REGISTRY.move_to_end(key)
+    PERF.bump("dtir_entry_reuse")
+    if type_id != entry.creator:
+        PERF.bump("dtir_collision")
     return entry

@@ -35,7 +35,7 @@ a form with the same lowering. Array-level detection
 (:func:`repro.mpi.dtir.detect`) maps that lowering to *the* canonical
 node, which is why the registry keys off detection while these passes
 provide the observability counters (``dtir_nodes_before/after``,
-``dtir_rw_*``) and the ``REPRO_DTIR_VERIFY`` cross-check.
+``dtir_rw_*``).
 
 Dimension *sorting* (descending contiguous footprint) deliberately
 lives in :func:`repro.mpi.dtir.shape_key`, not here: reordering grid

@@ -4,7 +4,7 @@ This package never influences *simulated* time -- it exists to measure and
 amortize the cost of running the simulator itself:
 
 * :mod:`repro.perf.stats` -- process-wide counters for the datatype
-  segment-compilation cache (hits/misses/invalidations) and the
+  segment-compilation cache (hits/misses) and the
   vectorized pack/unpack paths.
 * :mod:`repro.perf.hotpath` -- the ``BENCH_hotpath.json`` emitter that
   records before/after wall-clock per experiment so the perf trajectory

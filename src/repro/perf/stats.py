@@ -9,13 +9,11 @@ cannot change any simulated-time result.
 Counter names
 -------------
 ``seg_cache_hit`` / ``seg_cache_miss``
-    Lookups of the per-datatype ``(count)``-keyed segment cache.
+    Lookups of the canonical entry's ``(count, extent)``-keyed segment
+    cache.
 ``slice_cache_hit`` / ``slice_cache_miss``
-    Lookups of the per-datatype ``(count, lo, hi)``-keyed chunk cache
-    (the pipelined pack/unpack path).
-``cache_invalidation``
-    Explicit cache invalidations (``resized``/``dup`` derivation or a
-    direct :meth:`Datatype.invalidate_segment_cache` call).
+    Lookups of the canonical entry's ``(count, extent, lo, hi)``-keyed
+    chunk cache (the pipelined pack/unpack path).
 ``index_build`` / ``index_reuse``
     Gather-index arrays computed from scratch vs. served memoized.
 ``gather_2d`` / ``scatter_2d``
@@ -25,8 +23,9 @@ Counter names
 ``tbuf_acquire``
     Device staging chunks handed out by :class:`repro.core.staging.TbufPool`.
 ``plan_cache_hit`` / ``plan_cache_miss``
-    Lookups of the per-datatype compiled :class:`~repro.core.plan.TransferPlan`
-    cache (keyed on version, count, chunk size and buffer kinds).
+    Lookups of the canonical entry's compiled
+    :class:`~repro.core.plan.TransferPlan` cache (keyed on count, extent,
+    chunk size and buffer kinds).
 ``event_pool_hit`` / ``event_pool_miss``
     Simulation Timeout events served from the environment's recycle pool
     vs. freshly allocated (only counted while pooling is enabled).
@@ -87,17 +86,17 @@ recovery layer; all zero unless a FaultPlan or RecoveryConfig is armed)
     path when device staging timed out; bounded vbuf-acquisition waits
     that expired and were retried.
 
-Datatype-IR counters (:mod:`repro.mpi.dtir`; all zero with ``use_dtir``
-off)
+Datatype-IR counters (:mod:`repro.mpi.dtir`)
 --------------------------------------------------------------------------
 ``dtir_canon``
-    Commits canonicalized through the IR (detection + passes).
+    Datatypes canonicalized through the IR (detection + passes), once
+    per type on commit or first use.
 ``dtir_collision``
     Canonical collisions: a distinct datatype instance whose canonical
     form matched an existing registry entry (the collapse the IR is for).
 ``dtir_entry_reuse``
     Registry lookups that returned an existing entry (collisions plus
-    re-binds of the same type after invalidation).
+    re-binds of the same type, e.g. after unpickling).
 ``dtir_nodes_before`` / ``dtir_nodes_after``
     Symbolic IR node totals entering / leaving the pass pipeline.
 ``dtir_rw_flatten`` / ``dtir_rw_coalesce`` / ``dtir_rw_unify`` / ``dtir_rw_dims``
@@ -271,7 +270,6 @@ class PerfStats:
             f"pack {c['gather_2d'] + c['scatter_2d']} 2d / "
             f"{c['gather_vec'] + c['scatter_vec']} vec",
             f"idx {c['index_reuse']} reused / {c['index_build']} built",
-            f"{c['cache_invalidation']} invalidations",
         ]
         return "[perf: " + ", ".join(parts) + "]"
 

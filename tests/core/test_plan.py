@@ -128,8 +128,11 @@ def test_plan_cache_reuses_compiled_plans():
     # the cache on the granted chunk size).
     p3 = vec.plan_for(2, 64, "device", "wire")
     assert p3 is not p1 and p3.nchunks == 2 * p1.nchunks
-    vec.invalidate_segment_cache()
-    assert vec.plan_for(2, 128, "device", "wire") is not p1
+    # A dup shares the plan; a resized type tiles at its own extent, so
+    # a multi-element transfer is a different plan.
+    assert Datatype.dup(vec).plan_for(2, 128, "device", "wire") is p1
+    padded = Datatype.resized(vec, 0, vec.extent + 64).commit()
+    assert padded.plan_for(2, 128, "device", "wire") is not p1
 
 
 # -- end-to-end byte identity, plans on vs off ----------------------------------

@@ -1,5 +1,11 @@
 """Tests for arenas, allocators and buffer pointers."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +89,50 @@ class TestArenaBasics:
             arena.free(ptrs[i])
         assert arena.free_bytes == arena.size
         arena.alloc(arena.size)  # whole arena must be allocatable again
+
+
+class TestArenaBacking:
+    """Modeled capacity is decoupled from resident memory."""
+
+    def test_fresh_arena_reads_zero_and_is_writable(self):
+        a = Arena(1 << 30, space="host", name="big")
+        assert a.raw.flags.writeable
+        assert a.raw[(1 << 30) - 1] == 0
+        a.raw[12345] = 7
+        assert a.raw[12345] == 7
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="anonymous MAP_NORESERVE backing is Linux-only")
+    def test_mapping_failure_is_out_of_memory(self, monkeypatch):
+        import mmap
+
+        def refuse(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        with pytest.raises(OutOfMemoryError, match=r"'gpu0'.*4096 bytes"):
+            Arena(4096, space="device", name="gpu0")
+
+    def test_default_config_cluster_builds_in_little_memory(self):
+        """A 16-rank default-config cluster models 12 GiB of host memory
+        per node; building it must stay far below that in resident set."""
+        script = textwrap.dedent("""
+            import resource
+            from repro.hw import Cluster
+            cluster = Cluster(16)
+            assert len(cluster.nodes) == 16
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        maxrss_kib = int(out.stdout.split()[-1])
+        assert maxrss_kib < 256 * 1024
 
 
 class TestBufferPtr:

@@ -4,15 +4,18 @@ Three property groups pin the compiler's contract:
 
 * **lowering fidelity** -- for random constructor trees, the detected
   canonical node and the symbolically canonicalized tree both lower to
-  exactly the legacy compiler's coalesced run arrays;
+  exactly the constructors' coalesced run arrays;
+* **fresh-compilation reference** -- every registry-served artifact
+  (tilings, chunk slices, gather indices, transfer plans and their
+  stage costs, tuning signatures) equals a from-scratch compilation of
+  the type's own runs, committed or not;
 * **equivalence collapse** -- the four textbook constructions of one
   strided grid (vector, hvector-of-contig, subarray slab, struct of
   half-vectors) share one canonical key, one tuning signature and one
-  compiled TransferPlan object;
-* **trace transparency** -- a pipelined engine exchange is bit-identical
-  with ``use_dtir`` on and off.
+  compiled TransferPlan object.
 """
 
+import math
 import pickle
 
 import numpy as np
@@ -20,24 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.plan import ChunkPlan, TransferPlan
+from repro.hw.config import HardwareConfig
 from repro.mpi import BYTE, FLOAT, Datatype, SegmentList, dtir
 from repro.mpi.dtir_passes import canonicalize
 from repro.perf.stats import PERF
 from repro.tune.signature import signature_of_segments
 
-pytestmark = pytest.mark.skipif(
-    dtir._FORCED_OFF, reason="REPRO_DTIR=0 forces the datatype IR off"
-)
-
 
 @pytest.fixture(autouse=True)
 def clean_registry():
-    """Each test gets an empty registry and the IR enabled."""
-    prior = dtir.enabled()
+    """Each test starts and ends with an empty registry."""
     dtir.reset_registry()
-    dtir.set_enabled(True)
     yield
-    dtir.set_enabled(prior)
     dtir.reset_registry()
 
 
@@ -107,7 +105,7 @@ def datatypes(draw, depth=2):
 
 @given(dt=datatypes())
 @settings(max_examples=80, deadline=None)
-def test_detected_node_lowers_to_legacy_runs(dt):
+def test_detected_node_lowers_to_compiled_runs(dt):
     segs = dt.segments
     det = dtir.detect(segs.offsets, segs.lengths)
     offs, lens = dtir.lower(det)
@@ -142,25 +140,56 @@ def test_canonicalize_is_idempotent_and_deterministic(dt):
     assert canonicalize(dt._ir) == once
 
 
-@given(dt=datatypes(), count=st.integers(2, 5), cuts=st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_committed_compilations_bit_identical_to_legacy(dt, count, cuts):
-    """Registry-served tilings/slices equal a from-scratch compilation."""
-    dt.commit()
-    want = dt.segments.tiled(count, dt.extent).coalesced()
-    got = dt.segments_for_count(count)
+def assert_runs_equal(got, want):
     assert np.array_equal(got.offsets, want.offsets)
     assert np.array_equal(got.lengths, want.lengths)
+
+
+@given(dt=datatypes(), commit=st.booleans(), count=st.integers(0, 5),
+       cuts=st.integers(0, 3), chunk=st.integers(1, 64))
+@settings(max_examples=80, deadline=None)
+def test_compilations_bit_identical_to_fresh_compilation(
+    dt, commit, count, cuts, chunk
+):
+    """Registry-served state equals a from-scratch compilation.
+
+    The registry persists across examples, so later examples are served
+    compilations that earlier (equivalent) types created.
+    """
+    if commit:
+        dt.commit()
+    want = (dt.segments if count == 1
+            else dt.segments.tiled(count, dt.extent).coalesced())
+    assert_runs_equal(dt.segments_for_count(count), want)
     total = want.total_bytes
     lo = min(cuts, total)
     hi = max(lo, total - cuts)
     want_slice = want.slice_bytes(lo, hi)
     got_slice = dt.segments_for_range(count, lo, hi)
-    assert np.array_equal(got_slice.offsets, want_slice.offsets)
-    assert np.array_equal(got_slice.lengths, want_slice.lengths)
+    assert_runs_equal(got_slice, want_slice)
     assert np.array_equal(
         got_slice.gather_indices(), want_slice.gather_indices()
     )
+    assert dt.layout_signature(count) == signature_of_segments(want)
+
+    plan = dt.plan_for(count, chunk, "device", "host")
+    nchunks = max(1, math.ceil(total / chunk)) if total else 1
+    fresh_chunks = []
+    for i in range(nchunks):
+        c_lo, c_hi = i * chunk, min((i + 1) * chunk, total)
+        fresh_chunks.append(ChunkPlan(i, c_lo, c_hi,
+                                      want.slice_bytes(c_lo, c_hi)))
+    assert plan.total == total and plan.nchunks == nchunks
+    for cp, ref in zip(plan.chunks, fresh_chunks):
+        assert (cp.lo, cp.hi) == (ref.lo, ref.hi)
+        assert_runs_equal(cp.segs, ref.segs)
+        assert np.array_equal(cp.segs.gather_indices(),
+                              ref.segs.gather_indices())
+    fresh = TransferPlan(dt.type_id, count, chunk, total, nchunks,
+                         plan.kind, plan.base_offset, "device", "host",
+                         tuple(fresh_chunks))
+    hw = HardwareConfig()
+    assert plan.costs_for(hw) == fresh.costs_for(hw)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +287,23 @@ def test_resized_and_dup_share_the_base_entry():
     assert copy.layout_signature(3) == vec.layout_signature(3)
 
 
-def test_disabled_ir_keeps_legacy_per_instance_plans():
-    dtir.set_enabled(False)
-    a = Datatype.vector(ROWS, 4, 16, FLOAT).commit()
-    b = Datatype.vector(ROWS, 4, 16, FLOAT).commit()
-    assert a._entry() is None and b._entry() is None
-    pa = a.plan_for(3, 4096, "device", "host")
-    pb = b.plan_for(3, 4096, "device", "host")
-    assert pa is not pb
-    assert dtir.registry_size() == 0
+def test_irregular_digest_collision_gets_a_private_entry(monkeypatch):
+    """Two different irregular layouts forced onto one digest key."""
+    monkeypatch.setattr(dtir.Irregular, "key",
+                        lambda self: ("irr", 3, "forced"))
+    a = Datatype.hindexed([2, 5, 1], [0, 7, 19], FLOAT).commit()
+    b = Datatype.hindexed([1, 3, 2], [0, 5, 11], FLOAT).commit()
+    assert a._entry().key == b._entry().key == ("irr", 3, "forced")
+    assert b._entry() is not a._entry()
+    assert dtir.registry_size() == 1
+    # Same layout as ``a``: still shares the registered entry.
+    again = Datatype.hindexed([2, 5, 1], [0, 7, 19], FLOAT).commit()
+    assert again._entry() is a._entry()
+    for count in (1, 3):
+        assert_runs_equal(b.segments_for_count(count),
+                          b.segments.tiled(count, b.extent).coalesced())
+    assert b.plan_for(3, 16, "device", "host") is not \
+        a.plan_for(3, 16, "device", "host")
 
 
 def test_committed_type_with_entry_survives_pickle():
@@ -312,37 +349,12 @@ def test_classifier_agrees_with_signature_on_uniform():
     assert (sig.kind, sig.width, sig.pitch) == ("uniform", 8, 24)
 
 
-# ---------------------------------------------------------------------------
-# Trace transparency
-# ---------------------------------------------------------------------------
-
-
 @pytest.mark.parametrize("shards", [1, 2])
-def test_engine_traces_bit_identical_with_and_without_ir(shards):
-    from repro.core import GpuNcConfig
-    from repro.hw import Cluster
-    from repro.mpi import MpiWorld
+def test_zoo_experiment_checks_hold(shards):
+    """One entry per family, one plan per construction, equal members
+    (and, sharded, engine traces equal to the sequential run)."""
+    from repro.bench.experiments import dtype_zoo
 
-    rows = 1 << 10
-
-    def run(use_dtir):
-        dtir.reset_registry()
-        vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
-        cluster = Cluster(2, shards=shards)
-
-        def program(ctx):
-            buf = ctx.cuda.malloc(rows * 8)
-            if ctx.rank == 0:
-                yield from ctx.comm.Send(buf, 1, vec, dest=1)
-            else:
-                yield from ctx.comm.Recv(buf, 1, vec, source=0)
-
-        MpiWorld(cluster, gpu_config=GpuNcConfig(use_dtir=use_dtir)).run(
-            program
-        )
-        return cluster.tracer.intervals
-
-    with_ir = run(True)
-    without = run(False)
-    assert with_ir == without
-    assert len(with_ir) > 0
+    result = dtype_zoo(scale="quick", shards=shards)
+    assert result["counters"]["dtir_plan_shared"] > 0
+    assert "one registry entry per family" in result["text"]

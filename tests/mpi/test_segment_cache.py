@@ -4,7 +4,8 @@ Property tests build random datatypes through the full constructor
 algebra (including ``resized``/``dup`` derivation and nested
 ``hvector(struct(...))``) and assert that cached compilations -- segments,
 slices and gather-index arrays -- are exactly what an uncached compile
-produces. Plus explicit LRU, invalidation and counter tests.
+produces. Plus explicit tests of the canonical entry that holds the
+caches: its LRU bound, its counters, and ``resized``/``dup`` sharing it.
 """
 
 import numpy as np
@@ -12,8 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import BYTE, Datatype
+from repro.mpi import BYTE, Datatype, dtir
 from repro.perf.stats import PERF
+
+
+@pytest.fixture(autouse=True)
+def clean_registry():
+    """Counter tests need cold entries: start from an empty registry."""
+    dtir.reset_registry()
+    yield
+    dtir.reset_registry()
 
 
 def fresh_segments(dt, count):
@@ -145,44 +154,32 @@ def test_resized_does_not_reuse_base_tilings():
     assert_seglists_equal(r_tiled, fresh_segments(r, 3))
 
 
-def test_dup_compiles_under_its_own_cache():
+def test_dup_shares_the_base_entry():
     vec = Datatype.hvector(4, 2, 8, BYTE).commit()
-    vec.segments_for_count(2)
+    tiled = vec.segments_for_count(2)
     d = Datatype.dup(vec)
-    assert d.cache_stats() == (0, 0)
-    assert_seglists_equal(d.segments_for_count(2), fresh_segments(d, 2))
     assert d.committed
+    assert d._entry() is vec._entry()
+    assert d.segments_for_count(2) is tiled
+    assert_seglists_equal(d.segments_for_count(2), fresh_segments(d, 2))
 
 
-def test_invalidation_clears_caches_and_bumps_version():
+def test_resized_shares_the_entry_with_extent_keyed_tilings():
     vec = Datatype.hvector(4, 2, 8, BYTE)
+    r = Datatype.resized(vec, 0, vec.extent * 2)
+    assert r._entry() is vec._entry()
     vec.segments_for_count(2)
-    vec.segments_for_range(2, 1, 3)
-    assert vec.cache_stats() == (1, 1)
-    v0 = vec.version
-    before = PERF.counters["cache_invalidation"]
-    vec.invalidate_segment_cache()
-    assert vec.cache_stats() == (0, 0)
-    assert vec.version == v0 + 1
-    assert PERF.counters["cache_invalidation"] == before + 1
-    # Recompilation after invalidation is still bit-identical.
-    assert_seglists_equal(vec.segments_for_count(2), fresh_segments(vec, 2))
-
-
-def test_derivation_constructors_invalidate():
-    before = PERF.counters["cache_invalidation"]
-    vec = Datatype.hvector(4, 2, 8, BYTE)
-    Datatype.resized(vec, 0, 64)
-    Datatype.dup(vec)
-    assert PERF.counters["cache_invalidation"] == before + 2
+    r.segments_for_count(2)
+    assert set(vec._entry().seg_cache) == {(2, vec.extent), (2, r.extent)}
+    assert dtir.registry_size() == 1
 
 
 def test_lru_eviction_bounds_cache_size():
     vec = Datatype.hvector(4, 2, 8, BYTE)
-    for count in range(2, Datatype.SEG_CACHE_CAP + 40):
+    cap = dtir.CanonicalEntry.SEG_CAP
+    for count in range(2, cap + 40):
         vec.segments_for_count(count)
-    counts, _ = vec.cache_stats()
-    assert counts <= Datatype.SEG_CACHE_CAP
+    assert len(vec._entry().seg_cache) == cap
     # Evicted entries recompile to the same thing.
     assert_seglists_equal(vec.segments_for_count(2), fresh_segments(vec, 2))
 
