@@ -194,12 +194,12 @@ class GpuNcEngine:
             raise MpiError("send buffer lives on a GPU not bound to this rank")
         total = envelope.size_bytes
         if total == 0:
-            endpoint.env.process(
+            endpoint.env.spawn(
                 _proto._eager_send(endpoint, envelope, buf, count, dtype, req),
                 name=f"gpu-send-empty:{endpoint.rank}",
             )
             return
-        endpoint.env.process(
+        endpoint.env.spawn(
             self._send_proc(endpoint, envelope, buf, count, dtype, req),
             name=f"gpu-send:{endpoint.rank}->{envelope.dst}",
         )
@@ -256,7 +256,7 @@ class GpuNcEngine:
             # loop runs beside the chunk pipeline instead of gating it.
             def cts_monitor():
                 yield from _proto.await_cts(endpoint, state, rts_payload, rec)
-            env.process(cts_monitor(), name=f"cts-monitor:{ssn}")
+            env.spawn(cts_monitor(), name=f"cts-monitor:{ssn}")
 
         def chunk_proc(i: int):
             lo = i * chunk
@@ -360,7 +360,7 @@ class GpuNcEngine:
         self, endpoint: "Endpoint", posted: "PostedRecv", rts
     ) -> None:
         """Entry point for rendezvous receives into device memory."""
-        endpoint.env.process(
+        endpoint.env.spawn(
             self._recv_proc(endpoint, posted, rts),
             name=f"gpu-recv:rank{endpoint.rank}",
         )
@@ -405,7 +405,7 @@ class GpuNcEngine:
                 st, ci, plan, res, rplan, rcosts, backend
             ),
         )
-        endpoint.env.process(
+        endpoint.env.spawn(
             _proto.staged_granter(endpoint, state),
             name=f"gpu-granter:rank{endpoint.rank}",
         )
@@ -440,7 +440,7 @@ class GpuNcEngine:
                 )
             state.finish_chunk()
 
-        endpoint.env.process(proc(), name=f"gpu-drain{i}:rank{endpoint.rank}")
+        endpoint.env.spawn(proc(), name=f"gpu-drain{i}:rank{endpoint.rank}")
 
     # ------------------------------------------------------------------------
     # Eager delivery into device memory (host sender -> device receiver)
@@ -448,7 +448,7 @@ class GpuNcEngine:
     def deliver_eager_device(
         self, endpoint: "Endpoint", req: Request, data: np.ndarray, status: Status
     ) -> None:
-        endpoint.env.process(
+        endpoint.env.spawn(
             self._eager_device_proc(endpoint, req, data, status),
             name=f"gpu-eager-recv:rank{endpoint.rank}",
         )

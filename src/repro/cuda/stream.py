@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from ..sim import Environment, Event, Resource, Tracer
+from ..sim import Environment, Event, Server, Tracer
 from ..sim.events import PROCESSED, RECYCLABLE_CALLBACKS
 
 __all__ = ["Stream", "CudaEvent"]
@@ -24,20 +24,17 @@ _stream_ids = itertools.count()
 class _StreamOp:
     """One enqueued stream operation, advanced by event callbacks.
 
-    The original implementation spawned a simulation :class:`Process` per
-    operation; at 5 ops per 64 KB chunk that made generator frames and
-    their init/completion events the pipeline's dominant allocation. This
-    callback chain walks the *same* event sequence -- kick event at enqueue
-    time, engine request issued when the FIFO predecessor completes, one
-    timeout for the transfer duration, then record/release/apply/complete
-    in the legacy order -- so simulated timestamps and event order are
-    bit-identical, with two pooled timeouts and zero generator frames per
-    op instead of a Process, three events and a generator.
+    A kick event at enqueue time keeps op start on the event queue; when
+    the FIFO predecessor has completed the op claims its engine
+    (:meth:`Server.claim`, which queues it behind the engine's earlier
+    work) and schedules one completion at the claimed end instant, which
+    records, applies and completes. Two pooled timeouts and no generator
+    frame per op.
     """
 
     __slots__ = (
         "stream", "prev_tail", "engine", "duration", "apply_fn", "label",
-        "done", "_req", "_start",
+        "done", "_start",
     )
 
     def __init__(self, stream, prev_tail, engine, duration, apply_fn, label, done):
@@ -48,7 +45,6 @@ class _StreamOp:
         self.apply_fn = apply_fn
         self.label = label
         self.done = done
-        self._req = None
         self._start = 0.0
         # The kick event keeps op start on the event queue (start order
         # between ops enqueued at the same instant stays FIFO, exactly as
@@ -60,23 +56,16 @@ class _StreamOp:
         prev = self.prev_tail
         self.prev_tail = None
         if prev._state is PROCESSED:
-            self._request()
+            self._claim()
         else:
             prev.callbacks.append(self._on_tail)
 
     def _on_tail(self, _event: Event) -> None:
-        self._request()
+        self._claim()
 
-    def _request(self) -> None:
-        req = self.engine.request()
-        self._req = req
-        req.callbacks.append(self._on_req)
-
-    def _on_req(self, _event: Event) -> None:
-        env = self.stream.env
-        self._start = env.now
-        t = env.timeout(self.duration)
-        t.callbacks.append(self._on_done)
+    def _claim(self) -> None:
+        self._start, end = self.engine.claim(self.duration)
+        self.stream.env.timeout_at(end).callbacks.append(self._on_done)
 
     def _on_done(self, _event: Event) -> None:
         stream = self.stream
@@ -84,7 +73,6 @@ class _StreamOp:
         tracer = stream.tracer
         if tracer.enabled:
             tracer.record(self._start, env.now, self.engine.name, self.label)
-        self.engine.release(self._req)
         if self.apply_fn is not None and env.functional:
             self.apply_fn()
         stream._pending -= 1
@@ -116,7 +104,7 @@ class Stream:
 
     def enqueue(
         self,
-        engine: Resource,
+        engine: Server,
         duration: float,
         apply_fn: Optional[Callable[[], None]] = None,
         label: str = "op",

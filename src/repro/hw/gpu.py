@@ -8,8 +8,9 @@ A Fermi-class GPU executes three kinds of work concurrently:
 
 The paper's offload design depends on exactly this concurrency: the 2-D
 pack runs on the execution engine while earlier chunks drain to the host on
-the D2H engine. Each engine is a capacity-1 FIFO resource; the ablation
-config ``HardwareConfig.single_engine_gpu()`` collapses them into one shared
+the D2H engine. Each engine is a FIFO free-time :class:`~repro.sim.Server`
+with ``num_*_engines`` units (one by default); the ablation config
+``HardwareConfig.single_engine_gpu()`` collapses them into one shared
 engine to quantify how much of the speedup the concurrency provides.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim import Environment, Resource
+from ..sim import Environment, Server
 from .config import CopyKind, HardwareConfig
 from .memory import Arena, BufferPtr
 from .pcie import PCIeLink
@@ -46,18 +47,18 @@ class GPUDevice:
         self.memory = Arena(cfg.device_memory_bytes, space="device", name=self.name)
         if cfg.shared_engines:
             # Ablation: one engine serves everything.
-            shared = Resource(env, capacity=1, name=f"{self.name}.engine")
+            shared = Server(env, capacity=1, name=f"{self.name}.engine")
             self.pcie = PCIeLink(env, cfg, name=f"{self.name}.pcie")
             self.pcie.h2d = shared
             self.pcie.d2h = shared
             self.exec_engine = shared
         else:
             self.pcie = PCIeLink(env, cfg, name=f"{self.name}.pcie")
-            self.exec_engine = Resource(
+            self.exec_engine = Server(
                 env, capacity=cfg.num_exec_engines, name=f"{self.name}.exec"
             )
 
-    def engine_for(self, kind: CopyKind) -> Resource:
+    def engine_for(self, kind: CopyKind) -> Server:
         """The hardware engine that serves a copy of the given kind."""
         if kind is CopyKind.H2D:
             return self.pcie.h2d

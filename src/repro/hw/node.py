@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from ..sim import Environment, Resource
+from ..sim import Environment, Server
 from .config import HardwareConfig
 from .gpu import GPUDevice
 from .memory import Arena, BufferPtr
@@ -18,9 +18,9 @@ __all__ = ["Node"]
 class Node:
     """One host in the cluster.
 
-    The host CPU is modeled as a single serial resource: MPI progress, CPU
-    datatype packing and staging memcpys contend for it, which is exactly the
-    contention the paper's GPU offload sidesteps.
+    The host CPU is modeled as a single serial free-time server: MPI
+    progress, CPU datatype packing and staging memcpys contend for it, which
+    is exactly the contention the paper's GPU offload sidesteps.
     """
 
     def __init__(
@@ -37,7 +37,7 @@ class Node:
         self.node_id = node_id
         self.name = f"node{node_id}"
         self.memory = Arena(cfg.host_memory_bytes, space="host", name=self.name)
-        self.cpu = Resource(env, capacity=1, name=f"{self.name}.cpu")
+        self.cpu = Server(env, capacity=1, name=f"{self.name}.cpu")
         self.gpus: List[GPUDevice] = [
             GPUDevice(env, cfg, self, i) for i in range(gpus_per_node)
         ]

@@ -12,6 +12,11 @@ The model keeps the properties the paper's protocol relies on:
   connection semantics): all traffic serializes through the sender's TX
   engine and experiences the same wire latency.
 
+The TX engine is a FIFO free-time :class:`~repro.sim.Server`: posting an
+operation claims its transmission slot at once and schedules one
+completion at the slot's end, where the trace record, local completion
+and wire emission happen.
+
 Every remote-side effect -- an inbox deposit, an RDMA payload landing, a
 read request reaching its responder, a read response returning -- is
 scheduled as a *wire-delivery event* (:meth:`Environment.schedule_wire`)
@@ -28,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from ..sim import Environment, Event, Store, Tracer, wire_key
+from ..sim import Environment, Event, Server, Store, Tracer, wire_key
+from ..sim.events import RECYCLABLE_CALLBACKS
 from ..hw.config import HardwareConfig
 from ..hw.memory import BufferPtr
 from .faults import CancelToken, RdmaError
@@ -79,20 +85,18 @@ class HCA:
         fabric: "Fabric",
         tracer: Tracer,
     ):
-        from ..sim import Resource
-
         self.env = env
         self.cfg = cfg
         self.node = node
         self.fabric = fabric
         self.tracer = tracer
         self.name = f"hca{node.node_id}"
-        self.tx = Resource(env, capacity=1, name=f"{self.name}.tx")
+        self.tx = Server(env, capacity=1, name=f"{self.name}.tx")
         #: Control messages land here; MPI progress engines block on get().
         self.inbox: Store = Store(env, name=f"{self.name}.inbox")
-        #: dst node id -> (event label, process name); building two
-        #: f-strings per control message is measurable on the hot path.
-        self._ctl_labels: Dict[int, tuple] = {}
+        #: dst node id -> completion event label; building an f-string per
+        #: control message is measurable on the hot path.
+        self._ctl_labels: Dict[int, str] = {}
         self._loopback_label = f"ctl-loopback:{self.name}"
         self._loopback_pname = f"ctl-loopback {self.name}"
         #: Monotonic count of wire emissions by this node; combined with
@@ -141,6 +145,12 @@ class HCA:
         return BufferPtr(self.node.memory, rbuf.offset, rbuf.nbytes)
 
     # -- verbs ------------------------------------------------------------------------
+    #
+    # Each posting method claims its TX slot immediately and schedules one
+    # completion timeout at the slot's end. The timeout carries the
+    # operation's state as its value, so the completion handler is a plain
+    # method and the timeout goes back to the event pool afterwards.
+
     def rdma_write(
         self,
         src: BufferPtr,
@@ -166,10 +176,7 @@ class HCA:
                 f"RDMA size mismatch: local {src.nbytes} vs remote {dst.nbytes}"
             )
         done = self.env.event(label=f"rdma:{self.name}->{dst.node_id}")
-        self.env.process(
-            self._rdma_proc(src, dst, done, token),
-            name=f"rdma {self.name}->{dst.node_id}",
-        )
+        self._rdma_proc(src, dst, done, token)
         return done
 
     def _rdma_proc(
@@ -178,26 +185,29 @@ class HCA:
         dst: RemoteBuffer,
         done: Event,
         token: Optional[CancelToken] = None,
-    ):
+    ) -> None:
         cfg = self.cfg
         inj = self.fabric.injector
         act = (
             inj.on_rdma("rdma_write", self.node.node_id, dst.node_id, src.nbytes)
             if inj is not None else None
         )
-        with self.tx.request() as req:
-            yield req
-            start = self.env.now
-            wire = cfg.net_post_overhead + src.nbytes / cfg.net_bandwidth
-            if act is not None and act.stall:
-                # Fault: the TX engine wedges before streaming the payload.
-                yield self.env.timeout(act.stall)
-            yield self.env.timeout(wire)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    start, self.env.now, f"{self.name}.tx", "rdma_write",
-                    bytes=src.nbytes, dst=dst.node_id,
-                )
+        # Fault: a stall wedges the TX engine before it streams the payload.
+        start, end = self.tx.claim(
+            cfg.net_post_overhead + src.nbytes / cfg.net_bandwidth,
+            act.stall if act is not None else 0.0,
+        )
+        self.env.timeout_at(end, (start, src, dst, done, token, act)).callbacks.append(
+            self._rdma_sent
+        )
+
+    def _rdma_sent(self, event: Event) -> None:
+        start, src, dst, done, token, act = event.value
+        if self.tracer.enabled:
+            self.tracer.record(
+                start, self.env.now, f"{self.name}.tx", "rdma_write",
+                bytes=src.nbytes, dst=dst.node_id,
+            )
         if token is not None and token.cancelled:
             # Abandoned by the retry layer while stalled in TX: never
             # completes and never touches remote memory.
@@ -258,10 +268,7 @@ class HCA:
                 f"RDMA size mismatch: local {dst.nbytes} vs remote {src.nbytes}"
             )
         done = self.env.event(label=f"rdma-read:{self.name}<-{src.node_id}")
-        self.env.process(
-            self._rdma_read_proc(dst, src, done, token),
-            name=f"rdma-read {self.name}<-{src.node_id}",
-        )
+        self._rdma_read_proc(dst, src, done, token)
         return done
 
     def _rdma_read_proc(
@@ -270,17 +277,20 @@ class HCA:
         src: RemoteBuffer,
         done: Event,
         token: Optional[CancelToken] = None,
-    ):
-        cfg = self.cfg
+    ) -> None:
         inj = self.fabric.injector
         act = (
             inj.on_rdma("rdma_read", self.node.node_id, src.node_id, src.nbytes)
             if inj is not None else None
         )
         # Post the read request (small work request on our TX queue).
-        with self.tx.request() as req:
-            yield req
-            yield self.env.timeout(cfg.net_post_overhead)
+        _, end = self.tx.claim(self.cfg.net_post_overhead)
+        self.env.timeout_at(end, (dst, src, done, token, act)).callbacks.append(
+            self._read_posted
+        )
+
+    def _read_posted(self, event: Event) -> None:
+        dst, src, done, token, act = event.value
         arrival = self.env.now + self._latency(src.node_id)
         key = self._next_wire_key()
         stall = act.stall if act is not None else 0.0
@@ -324,40 +334,37 @@ class HCA:
             )
 
         def request_arrives(_event):
-            env.process(
-                responder._read_respond_proc(
-                    src.offset, src.nbytes, stall, self.node.node_id, deliver
-                ),
-                name=f"rdma-read-resp {responder.name}->{self.name}",
+            responder._read_respond_proc(
+                src.offset, src.nbytes, stall, self.node.node_id, deliver
             )
 
         env.schedule_wire(arrival, key, request_arrives, label="wire-rreq")
 
     def _read_respond_proc(self, offset: int, nbytes: int, stall: float,
-                           origin_node: int, deliver):
+                           origin_node: int, deliver) -> None:
         """Responder half of an RDMA read (this HCA owns the data).
 
         Streams ``nbytes`` over this HCA's TX engine (queueing behind its
-        other traffic), snapshots the window at TX end, and hands
-        ``deliver(arrival, key, data)`` the response's precomputed wire
-        arrival and key. Shared verbatim by the sequential path above and
-        the shard bridge's request injection, so both stream under the
-        same contention and snapshot at the same instant.
+        other traffic; a fault ``stall`` wedges it first), snapshots the
+        window at TX end, and hands ``deliver(arrival, key, data)`` the
+        response's precomputed wire arrival and key. Shared verbatim by the
+        sequential path above and the shard bridge's request injection, so
+        both stream under the same contention and snapshot at the same
+        instant.
         """
-        cfg = self.cfg
+        start, end = self.tx.claim(nbytes / self.cfg.net_bandwidth, stall)
+        self.env.timeout_at(
+            end, (start, offset, nbytes, origin_node, deliver)
+        ).callbacks.append(self._read_streamed)
+
+    def _read_streamed(self, event: Event) -> None:
+        start, offset, nbytes, origin_node, deliver = event.value
         env = self.env
-        with self.tx.request() as req:
-            yield req
-            start = env.now
-            if stall:
-                # Fault: the responder wedges before streaming the payload.
-                yield env.timeout(stall)
-            yield env.timeout(nbytes / cfg.net_bandwidth)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    start, env.now, f"{self.name}.tx", "rdma_read_resp",
-                    bytes=nbytes, origin=origin_node,
-                )
+        if self.tracer.enabled:
+            self.tracer.record(
+                start, env.now, f"{self.name}.tx", "rdma_read_resp",
+                bytes=nbytes, origin=origin_node,
+            )
         data = None
         if env.functional:
             data = self.node.memory.raw[offset : offset + nbytes].copy()
@@ -372,20 +379,16 @@ class HCA:
         if dst_node == self.node.node_id:
             # Loopback: skip the wire, deliver through host memory latency.
             done = self.env.event(label=self._loopback_label)
-            self.env.process(
+            self.env.spawn(
                 self._loopback_proc(payload, size_bytes, done),
                 name=self._loopback_pname,
             )
             return done
-        labels = self._ctl_labels.get(dst_node)
-        if labels is None:
-            labels = (f"ctl:{self.name}->{dst_node}", f"ctl {self.name}->{dst_node}")
-            self._ctl_labels[dst_node] = labels
-        done = self.env.event(label=labels[0])
-        self.env.process(
-            self._control_proc(dst_node, payload, size_bytes, done),
-            name=labels[1],
-        )
+        label = self._ctl_labels.get(dst_node)
+        if label is None:
+            label = self._ctl_labels[dst_node] = f"ctl:{self.name}->{dst_node}"
+        done = self.env.event(label=label)
+        self._control_proc(dst_node, payload, size_bytes, done)
         return done
 
     def _loopback_proc(self, payload: Any, size: int, done: Event):
@@ -400,27 +403,31 @@ class HCA:
         yield self.inbox.put(msg)
         done.succeed()
 
-    def _control_proc(self, dst_node: int, payload: Any, size: int, done: Event):
+    def _control_proc(self, dst_node: int, payload: Any, size: int,
+                      done: Event) -> None:
         cfg = self.cfg
         inj = self.fabric.injector
         act = (
             inj.on_control(self.node.node_id, dst_node, payload)
             if inj is not None else None
         )
-        with self.tx.request() as req:
-            yield req
-            start = self.env.now
-            wire = (
-                cfg.net_post_overhead
-                + cfg.net_control_overhead
-                + size / cfg.net_bandwidth
+        start, end = self.tx.claim(
+            cfg.net_post_overhead
+            + cfg.net_control_overhead
+            + size / cfg.net_bandwidth
+        )
+        self.env.timeout_at(end, (start, dst_node, payload, done, act)).callbacks.append(
+            self._control_sent
+        )
+
+    def _control_sent(self, event: Event) -> None:
+        start, dst_node, payload, done, act = event.value
+        cfg = self.cfg
+        if self.tracer.enabled:
+            self.tracer.record(
+                start, self.env.now, f"{self.name}.tx", "control",
+                dst=dst_node,
             )
-            yield self.env.timeout(wire)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    start, self.env.now, f"{self.name}.tx", "control",
-                    dst=dst_node,
-                )
         # Local completion does not imply delivery: a dropped message still
         # completes at the sender, exactly like a real unacked control path.
         done.succeed()
@@ -455,3 +462,11 @@ class HCA:
         self.env.schedule_wire(arrival, key, land, label="wire-ctl")
         if duplicate:
             self.env.schedule_wire(dup_arrival, dup_key, land, label="wire-ctl")
+
+
+# Each TX completion timeout is referenced only by the schedule and its
+# handler, which unpacks the value and drops the event, so it is
+# recyclable the moment the handler returns.
+RECYCLABLE_CALLBACKS.update((
+    HCA._rdma_sent, HCA._read_posted, HCA._read_streamed, HCA._control_sent,
+))

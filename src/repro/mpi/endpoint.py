@@ -314,14 +314,15 @@ class Endpoint:
 
     # -- CPU accounting helper ------------------------------------------------------
     def cpu_work(self, duration: float, label: str):
-        """Occupy the host CPU for ``duration`` (a generator)."""
-        with self.node.cpu.request() as req:
-            yield req
-            start = self.env.now
-            if duration > 0:
-                yield self.env.timeout(duration)
-            if self.tracer.enabled:
-                self.tracer.record(start, self.env.now, self._cpu_engine, label)
+        """Occupy the host CPU for ``duration`` (a generator).
+
+        Always suspends, even for zero work: a caller resumes one queue
+        hop later, behind everything already scheduled for that instant.
+        """
+        start, end = self.node.cpu.claim(duration)
+        yield self.env.timeout_at(end)
+        if self.tracer.enabled:
+            self.tracer.record(start, end, self._cpu_engine, label)
         return None
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -248,7 +248,7 @@ def isend(
         # Device synchronous sends ride the rendezvous-only GPU path too
         # (the GPU engine never uses eager for nonzero payloads).
         if total == 0:
-            endpoint.env.process(
+            endpoint.env.spawn(
                 _rdv_send_host(endpoint, envelope, buf, count, datatype, req),
                 name=f"rdv-ssend:{endpoint.rank}->{dest}",
             )
@@ -258,12 +258,12 @@ def isend(
             )
         return req
     if total <= endpoint.cfg.eager_threshold and mode == "standard":
-        endpoint.env.process(
+        endpoint.env.spawn(
             _eager_send(endpoint, envelope, buf, count, datatype, req),
             name=f"eager-send:{endpoint.rank}->{dest}",
         )
     else:
-        endpoint.env.process(
+        endpoint.env.spawn(
             _rdv_send_host(endpoint, envelope, buf, count, datatype, req),
             name=f"rdv-send:{endpoint.rank}->{dest}",
         )
@@ -387,7 +387,7 @@ def _deliver_eager(endpoint: Endpoint, posted: PostedRecv, msg: ArrivedMessage) 
         endpoint.stats.note_recv(data.nbytes)
         req._complete(status)
 
-    endpoint.env.process(proc(), name=f"eager-deliver:rank{endpoint.rank}")
+    endpoint.env.spawn(proc(), name=f"eager-deliver:rank{endpoint.rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +829,7 @@ def _rdv_recv_start(endpoint: Endpoint, posted: PostedRecv, rts: RtsInfo) -> Non
     if req.buf.space == "device":
         endpoint.gpu_engine.rdv_recv_device(endpoint, posted, rts)
         return
-    endpoint.env.process(
+    endpoint.env.spawn(
         _rdv_recv_host(endpoint, posted, rts),
         name=f"rdv-recv:rank{endpoint.rank}",
     )
@@ -865,7 +865,7 @@ def make_recv_state(
     endpoint.recv_states[rts.ssn] = state
     rec = endpoint.recovery
     if rec is not None:
-        endpoint.env.process(
+        endpoint.env.spawn(
             recv_watchdog(endpoint, state, rec),
             name=f"rdv-watchdog:{rts.ssn}",
         )
@@ -951,7 +951,7 @@ def _rdv_recv_host(endpoint: Endpoint, posted: PostedRecv, rts: RtsInfo):
             endpoint, posted, rts, chunk_bytes, staged=True,
             on_fin=_host_fin_sink,
         )
-        endpoint.env.process(
+        endpoint.env.spawn(
             staged_granter(endpoint, state),
             name=f"granter:rank{endpoint.rank}",
         )
@@ -986,4 +986,4 @@ def _host_fin_sink(state: RecvState, chunk_index: int) -> None:
             )
         state.retire_chunk(chunk_index)
 
-    endpoint.env.process(drain(), name=f"rdv-drain:rank{endpoint.rank}")
+    endpoint.env.spawn(drain(), name=f"rdv-drain:rank{endpoint.rank}")

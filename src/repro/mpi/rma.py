@@ -392,7 +392,7 @@ def _on_put_packed(endpoint, payload: dict) -> None:
         win._received += 1
         endpoint.note_arrival()
 
-    endpoint.env.process(proc(), name=f"rma-scatter:rank{endpoint.rank}")
+    endpoint.env.spawn(proc(), name=f"rma-scatter:rank{endpoint.rank}")
 
 
 def _on_count(endpoint, payload: dict) -> None:

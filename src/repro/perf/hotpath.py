@@ -328,16 +328,20 @@ def record_wheel_baseline(
 def record_sim_throughput(
     events_per_second: float,
     workload: str,
+    events_per_probe: float,
     path: Optional[Path] = None,
 ) -> None:
-    """Record the reference simulator event throughput (events/second).
+    """Record the reference simulator event throughput.
 
-    Like ``pack_throughput``, the recorded figure is a reference for the
+    ``events_per_second`` is informative (it depends on the host);
+    ``events_per_probe`` -- events retired per run of the frozen
+    calibration probe, timed on the same host -- is the reference of the
     ``perf``-marked pytest guard (runs more than 30% below it fail).
     """
     data = load(path)
     data["sim_throughput"] = {
         "events_per_second": round(events_per_second, 1),
+        "events_per_probe": round(events_per_probe, 1),
         "workload": workload,
     }
     _save(data, path)

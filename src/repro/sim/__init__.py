@@ -1,10 +1,11 @@
 """Minimal deterministic discrete-event simulation kernel.
 
 A from-scratch SimPy-like engine: generator-based processes, an event heap
-with FIFO tie-breaking (fully deterministic runs), capacity resources, object
-stores and interval tracing. Everything else in :mod:`repro` -- the GPU, the
-PCIe bus, the InfiniBand fabric, the MPI library -- is built on these
-primitives.
+with FIFO tie-breaking (fully deterministic runs), free-time servers for
+fixed-service hardware engines, queued resources for locks held across
+waits, object stores and interval tracing. Everything else in
+:mod:`repro` -- the GPU, the PCIe bus, the InfiniBand fabric, the MPI
+library -- is built on these primitives.
 """
 
 from .core import WIRE_KEY_BASE, EmptySchedule, Environment, wire_key
@@ -18,7 +19,7 @@ from .events import (
     Timeout,
 )
 from .process import Process, ProcessGenerator
-from .resources import Request, Resource, Store, StoreGet, StorePut
+from .resources import Request, Resource, Server, Store, StoreGet, StorePut
 from .trace import FaultRecord, Interval, Tracer, union_duration
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "SimulationError",
     "Process",
     "ProcessGenerator",
+    "Server",
     "Resource",
     "Request",
     "Store",

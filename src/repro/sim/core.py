@@ -198,8 +198,55 @@ class Environment:
         self._pool_misses += 1
         return Timeout(self, delay, value=value, label=label)
 
+    def timeout_at(self, when: float, value: Any = None, label: str = "") -> Timeout:
+        """A timeout that fires at the absolute time ``when`` (``>= now``).
+
+        For work whose end instant is already known (a :class:`Server`
+        claim): scheduling at ``when`` itself avoids the rounding of
+        ``now + (when - now)``. Pooled, and routed to the immediate lane,
+        the wheel or the heap exactly like :meth:`timeout`.
+        """
+        now = self._now
+        if when < now:
+            raise SimulationError(f"cannot time out at {when} (now is {now})")
+        pool = self._timeout_pool
+        if pool:
+            t = pool.pop()
+            t.callbacks = []
+            t._defused = False
+            self._pool_hits += 1
+        else:
+            if pool is not None:
+                self._pool_misses += 1
+            t = Timeout.__new__(Timeout)
+            Event.__init__(t, self)
+        t._ok = True
+        t._value = value
+        t.label = label
+        t.delay = when - now
+        t._state = TRIGGERED
+        self._eid += 1
+        if when == now:
+            self._imm.append((now, self._eid, t))
+        elif self._wheel_on:
+            self._insert_timed(when, self._eid, t)
+        else:
+            heapq.heappush(self._queue, (when, self._eid, t))
+        return t
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         return Process(self, generator, name=name)
+
+    def spawn(self, generator: ProcessGenerator, name: str = "") -> None:
+        """Start a detached process: nothing can wait on it or join it.
+
+        Starts exactly like :meth:`process` (an init event on the queue),
+        but a normal return schedules no completion event -- for the
+        fire-and-forget flows no one holds, that event is pure overhead.
+        An exception still fails the process on the queue and aborts the
+        run. Use :meth:`process` whenever the returned handle is kept.
+        """
+        Process(self, generator, name=name, detached=True)
 
     def all_of(self, events: Iterable[Event], label: str = "") -> AllOf:
         return AllOf(self, events, label=label)

@@ -38,15 +38,24 @@ class Process(Event):
     * :attr:`is_alive` -- whether the generator is still running.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_detached")
 
-    def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = ""):
+    def __init__(
+        self,
+        env: "Environment",
+        generator: ProcessGenerator,
+        name: str = "",
+        detached: bool = False,
+    ):
         if not hasattr(generator, "throw"):
             raise TypeError(f"process target must be a generator, got {generator!r}")
         super().__init__(env, label=name or getattr(generator, "__name__", ""))
         self.name = self.label
         self._generator = generator
         self._target: Optional[Event] = None
+        #: Started by Environment.spawn: no handle exists, so a normal
+        #: return is final at once instead of a scheduled completion.
+        self._detached = detached
         # Kick off the generator via an immediately-processed initialization
         # event so that process start is itself an event on the queue (start
         # order between processes created at the same instant is FIFO). The
@@ -107,7 +116,13 @@ class Process(Event):
                     next_event = generator.throw(event._value)
             except StopIteration as exc:
                 env._active_process = None
-                self.succeed(exc.value)
+                if self._detached:
+                    self._ok = True
+                    self._value = exc.value
+                    self._state = PROCESSED
+                    self.callbacks = None
+                else:
+                    self.succeed(exc.value)
                 return
             except BaseException as exc:
                 env._active_process = None

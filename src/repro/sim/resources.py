@@ -1,21 +1,74 @@
-"""Shared-resource primitives: FIFO resources and object stores.
+"""Shared-resource primitives: free-time servers, FIFO resources, stores.
 
-These are the building blocks for modeling hardware queues: a DMA engine is
-a ``Resource(capacity=1)``, a staging-buffer pool is a ``Store`` pre-filled
-with buffer objects, and so on.
+These are the building blocks for modeling hardware queues: a DMA engine
+is a :class:`Server` (its work has a service time known when it is
+posted), a lock held across arbitrary waits is a ``Resource(capacity=1)``,
+a staging-buffer pool is a ``Store`` pre-filled with buffer objects, and
+so on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
 from .events import Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["Resource", "Request", "Store", "StorePut", "StoreGet"]
+__all__ = ["Server", "Resource", "Request", "Store", "StorePut", "StoreGet"]
+
+
+class Server:
+    """A FIFO, non-preemptive server of ``capacity`` identical units.
+
+    For work whose service time is known when it arrives -- a DMA copy, an
+    HCA transmission, a CPU slice -- the queue needs no events at all:
+    :meth:`claim` hands the work the unit that frees earliest and returns
+    its ``(start, end)`` instants straight away. The caller schedules one
+    completion at ``end`` (:meth:`Environment.timeout_at`).
+
+    This is the :class:`Resource` queue in closed form. Driven by the same
+    sequence of arrivals, a Resource grants each request at the instant
+    this method returns as ``start``, and releases it at ``end`` (computed
+    with the same float operations a ``timeout(stall)`` followed by a
+    ``timeout(service)`` would perform). Every user of one engine must
+    claim through its Server: a Resource queue beside it would not see
+    the claimed work.
+    """
+
+    __slots__ = ("env", "capacity", "name", "_free")
+
+    def __init__(self, env: "Environment", capacity: int = 1, name: str = ""):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        self.name = name
+        #: Instant each unit finishes its last claimed work.
+        self._free: List[float] = [0.0] * capacity
+
+    def claim(self, service: float, stall: float = 0.0) -> Tuple[float, float]:
+        """Queue ``stall + service`` seconds of work; returns ``(start, end)``.
+
+        ``start`` is when a unit picks the work up (``>= now``); ``stall``
+        is dead time before the service proper (an injected fault), so
+        ``end = (start + stall) + service``.
+        """
+        if service < 0 or stall < 0:
+            raise ValueError(
+                f"negative service or stall on {self.name!r}: {service!r}, {stall!r}"
+            )
+        free = self._free
+        unit = 0 if len(free) == 1 else free.index(min(free))
+        start = free[unit]
+        now = self.env._now
+        if start < now:
+            start = now
+        end = (start + stall) + service
+        free[unit] = end
+        return start, end
 
 
 class Request(Event):

@@ -427,7 +427,7 @@ class ShardBridge:
     def _rreq_callback(self, target_node: int, offset: int, nbytes: int,
                        stall: float, origin_node: int, origin_shard: int,
                        rid: tuple):
-        # The injected request spawns the *shared* responder coroutine
+        # The injected request runs the *shared* responder
         # (HCA._read_respond_proc): same TX contention, same stall fault,
         # same trace record and same snapshot point as the sequential
         # path. Only the response transport differs -- it rides the bridge
@@ -442,11 +442,8 @@ class ShardBridge:
                     ("rresp", arrival, key, origin_shard, rid, ref)
                 )
 
-            self.env.process(
-                responder._read_respond_proc(
-                    offset, nbytes, stall, origin_node, deliver
-                ),
-                name=f"rdma-read-resp hca{target_node}->shard{origin_shard}",
+            responder._read_respond_proc(
+                offset, nbytes, stall, origin_node, deliver
             )
         return apply
 
