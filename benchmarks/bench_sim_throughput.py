@@ -14,6 +14,11 @@ of the frozen :mod:`calibration_probe` takes, both timed back to back.
 ``tests/perf/test_sim_throughput.py`` gates on the ratio (>30% below the
 recorded ratio fails the perf tier), so the gate means the same on any
 host.
+
+``wheel_baseline`` keeps the fig5:quick wall-clock pair (calendar wheel
+on and off, informative) and ``heap_per_probe``, the pure-heap fig5:quick
+time in units of one probe run; the wheel guard's ceiling is relative to
+it for the same reason.
 """
 
 import os
@@ -83,13 +88,16 @@ def measure_events_per_probe(repeats: int = 5, burn: int = 0) -> float:
     return best
 
 
-def measure_fig5_wallclock(event_wheel: bool, repeats: int = 5) -> float:
+def measure_fig5_wallclock(event_wheel: bool, repeats: int = 5,
+                           slowdown: int = 1) -> float:
     """Best-of-N wall-clock for sequential fig5:quick, wheel on or off.
 
     A full-fidelity workload (the real 5-stage pipeline, not a synthetic
     timeout mesh): the guard on this pair enforces that the calendar
     wheel never pessimizes a paper experiment relative to the pure-heap
-    hot loop it replaced.
+    hot loop it replaced. ``slowdown`` runs the experiment that many
+    times per timed repeat: a seeded slowdown, for checking that the
+    guard trips.
     """
     from repro.bench.experiments import fig5_vector_latency
 
@@ -99,7 +107,8 @@ def measure_fig5_wallclock(event_wheel: bool, repeats: int = 5) -> float:
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            fig5_vector_latency("quick", verify=False, iterations=1)
+            for _ in range(slowdown):
+                fig5_vector_latency("quick", verify=False, iterations=1)
             best = min(best, time.perf_counter() - start)
         return best
     finally:
@@ -107,6 +116,18 @@ def measure_fig5_wallclock(event_wheel: bool, repeats: int = 5) -> float:
             os.environ.pop("REPRO_SIM_WHEEL", None)
         else:
             os.environ["REPRO_SIM_WHEEL"] = saved
+
+
+def measure_fig5_per_probe(event_wheel: bool, repeats: int = 5,
+                           slowdown: int = 1) -> float:
+    """fig5:quick wall-clock in units of one calibration-probe run.
+
+    The probe is timed right before and after the experiment and the
+    faster run is used, as in :func:`measure_events_per_probe`.
+    """
+    before = probe_seconds()
+    seconds = measure_fig5_wallclock(event_wheel, repeats, slowdown)
+    return seconds / min(before, probe_seconds())
 
 
 def test_sim_event_throughput(benchmark):
@@ -130,11 +151,13 @@ def test_wheel_vs_heap_baseline(benchmark):
         measure_fig5_wallclock, args=(True,), rounds=1, iterations=1
     )
     heap = measure_fig5_wallclock(False)
+    heap_per_probe = measure_fig5_per_probe(False)
     benchmark.extra_info["wheel_seconds"] = round(wheel, 4)
     benchmark.extra_info["heap_seconds"] = round(heap, 4)
-    record_wheel_baseline(wheel, heap, WHEEL_WORKLOAD)
+    benchmark.extra_info["heap_per_probe"] = round(heap_per_probe, 2)
+    record_wheel_baseline(wheel, heap, WHEEL_WORKLOAD, heap_per_probe)
     print(
         f"\nfig5:quick wall-clock: {wheel:.3f}s wheel, {heap:.3f}s heap "
-        f"({heap / wheel:.2f}x)"
+        f"({heap / wheel:.2f}x), heap {heap_per_probe:.2f} probes"
     )
-    assert wheel > 0 and heap > 0
+    assert wheel > 0 and heap > 0 and heap_per_probe > 0

@@ -2,13 +2,12 @@
 
 from .fabric import Fabric
 from .faults import CancelToken, FaultInjector, FaultPlan, FaultSpec, RdmaError
-from .verbs import HCA, ControlMessage, RemoteBuffer
+from .verbs import HCA, RemoteBuffer
 
 __all__ = [
     "Fabric",
     "HCA",
     "RemoteBuffer",
-    "ControlMessage",
     "FaultPlan",
     "FaultSpec",
     "FaultInjector",

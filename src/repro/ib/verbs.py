@@ -6,8 +6,9 @@ The model keeps the properties the paper's protocol relies on:
   into registered remote host memory with no remote CPU involvement; the
   sender gets a local completion event.
 * **Send/recv control messages** (RTS, CTS, RDMA-finish) are small,
-  CPU-handled messages delivered into the receiver's inbox, where the MPI
-  progress engine picks them up.
+  CPU-handled messages. The receiving HCA hands each one to its node's
+  *control sink* (:attr:`HCA.control_sink`, installed by the MPI layer)
+  the moment it lands; no progress thread polls for them.
 * Messages between a given pair of HCAs are delivered in order (reliable
   connection semantics): all traffic serializes through the sender's TX
   engine and experiences the same wire latency.
@@ -17,7 +18,7 @@ operation claims its transmission slot at once and schedules one
 completion at the slot's end, where the trace record, local completion
 and wire emission happen.
 
-Every remote-side effect -- an inbox deposit, an RDMA payload landing, a
+Every remote-side effect -- a control delivery, an RDMA payload landing, a
 read request reaching its responder, a read response returning -- is
 scheduled as a *wire-delivery event* (:meth:`Environment.schedule_wire`)
 keyed by ``(arrival time, source node, per-source sequence)``. The key is
@@ -31,9 +32,9 @@ sequential one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from ..sim import Environment, Event, Server, Store, Tracer, wire_key
+from ..sim import Environment, Event, Server, SimulationError, Tracer, wire_key
 from ..sim.events import RECYCLABLE_CALLBACKS
 from ..hw.config import HardwareConfig
 from ..hw.memory import BufferPtr
@@ -43,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..hw.node import Node
     from .fabric import Fabric
 
-__all__ = ["HCA", "RemoteBuffer", "ControlMessage"]
+__all__ = ["HCA", "RemoteBuffer"]
 
 
 @dataclass(frozen=True)
@@ -65,15 +66,6 @@ class RemoteBuffer:
         return RemoteBuffer(self.node_id, self.offset + offset, nbytes)
 
 
-@dataclass(frozen=True)
-class ControlMessage:
-    """A small send/recv message delivered to the remote inbox."""
-
-    src_node: int
-    dst_node: int
-    payload: Any
-
-
 class HCA:
     """One InfiniBand host channel adapter."""
 
@@ -92,8 +84,9 @@ class HCA:
         self.tracer = tracer
         self.name = f"hca{node.node_id}"
         self.tx = Server(env, capacity=1, name=f"{self.name}.tx")
-        #: Control messages land here; MPI progress engines block on get().
-        self.inbox: Store = Store(env, name=f"{self.name}.inbox")
+        #: ``sink(src_node, payload)``, called with every control message
+        #: the moment it lands here; the MPI layer installs its router.
+        self.control_sink: Callable[[int, Any], None] = self._no_sink
         #: dst node id -> completion event label; building an f-string per
         #: control message is measurable on the hot path.
         self._ctl_labels: Dict[int, str] = {}
@@ -373,8 +366,8 @@ class HCA:
     def send_control(self, dst_node: int, payload: Any, size_bytes: int = 64) -> Event:
         """Send a small control message; returns the local completion event.
 
-        Delivery into the remote inbox happens one wire latency after the
-        local send completes.
+        The message reaches the destination node's control sink one wire
+        latency after the local send completes.
         """
         if dst_node == self.node.node_id:
             # Loopback: skip the wire, deliver through host memory latency.
@@ -399,9 +392,20 @@ class HCA:
         yield self.env.timeout(
             cfg.net_control_overhead + size / cfg.host_memcpy_bandwidth
         )
-        msg = ControlMessage(self.node.node_id, self.node.node_id, payload)
-        yield self.inbox.put(msg)
+        # Two same-instant hops: one completes the send, then one delivers.
+        sent = self.env.timeout(0.0)
+        self.env.timeout(0.0).callbacks.append(
+            lambda _event: self.control_sink(self.node.node_id, payload)
+        )
+        yield sent
         done.succeed()
+
+    def _no_sink(self, src_node: int, payload: Any) -> None:
+        rank = payload.get("dst_rank") if isinstance(payload, dict) else None
+        raise SimulationError(
+            f"control message from node {src_node} for rank {rank} landed "
+            f"on node {self.node.node_id}, which has no control sink"
+        )
 
     def _control_proc(self, dst_node: int, payload: Any, size: int,
                       done: Event) -> None:
@@ -453,11 +457,11 @@ class HCA:
                     self.node.node_id, dst_node, payload, dup_arrival, dup_key,
                 )
             return
-        inbox = self.fabric.hcas[dst_node].inbox
+        dst_hca = self.fabric.hcas[dst_node]
         src_node = self.node.node_id
 
         def land(_event):
-            inbox.put_nowait(ControlMessage(src_node, dst_node, payload))
+            dst_hca.control_sink(src_node, payload)
 
         self.env.schedule_wire(arrival, key, land, label="wire-ctl")
         if duplicate:

@@ -1,15 +1,19 @@
-"""Per-rank MPI endpoint: progress engine, matching state, staging pools.
+"""Per-rank MPI endpoint: control dispatch, matching state, staging pools.
 
 An :class:`Endpoint` is the library-internal half of one MPI process. It
 owns
 
 * the matching lists (posted receives / unexpected messages),
-* the **progress daemon**, a simulated process that services the HCA inbox
-  and dispatches control messages (eager payloads, RTS/CTS/FIN, and any
-  message types registered by the GPU pipeline) to handlers,
+* the **handler registry** for control messages (eager payloads,
+  RTS/CTS/FIN, and any message types registered by the GPU pipeline or
+  RMA windows),
 * rendezvous bookkeeping (send/recv transaction states keyed by SSN),
 * the host staging-buffer pool (**vbufs**) used by staged rendezvous and by
   the GPU pipeline, pre-allocated and registered exactly like MVAPICH2's.
+
+There is no progress daemon: each node's HCA calls a router
+(:func:`install_control_routers`) inside every control message's wire
+landing, and the router runs the destination endpoint's handler at once.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..hw.memory import BufferPtr
-from ..sim import Event, Resource, Store
+from ..sim import Event, Resource, SimulationError, Store
 from .matching import MatchLists
 from .status import MpiError
 
@@ -28,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..ib.verbs import HCA
     from ..sim import Environment, Tracer
 
-__all__ = ["Endpoint", "VbufPool", "EndpointStats"]
+__all__ = ["Endpoint", "VbufPool", "EndpointStats", "install_control_routers"]
 
 
 class EndpointStats:
@@ -239,13 +243,10 @@ class Endpoint:
         self.rank_to_node: Dict[int, int] = {}
         #: set by :class:`repro.core.pipeline.GpuNcEngine` via the world.
         self._gpu_engine: Optional[Any] = None
-        #: re-armed whenever a new message envelope arrives; Probe waits on
-        #: it between scans of the unexpected queue.
+        #: re-armed whenever a new message envelope arrives and something
+        #: waits on it; Probe waits on it between unexpected-queue scans.
         self.arrival_event: Event = Event(self.env, label=f"arrival:{rank}")
         self._cpu_engine = f"cpu{node.node_id}"
-        self._daemon = self.env.process(
-            self._progress_loop(), name=f"progress:rank{rank}"
-        )
 
     @property
     def gpu_engine(self):
@@ -269,10 +270,12 @@ class Endpoint:
         return (self.rank, self._next_seq)
 
     def note_arrival(self) -> None:
-        """Signal Probe waiters that a new envelope arrived."""
-        fired, self.arrival_event = self.arrival_event, Event(
-            self.env, label=f"arrival:{self.rank}"
-        )
+        """Signal Probe waiters that a new envelope arrived (a no-op with
+        no waiters: each reads the current event before it suspends)."""
+        fired = self.arrival_event
+        if not fired.callbacks:
+            return
+        self.arrival_event = Event(self.env, label=f"arrival:{self.rank}")
         fired.succeed()
 
     def node_of_rank(self, rank: int) -> int:
@@ -298,19 +301,13 @@ class Endpoint:
             self.node_of_rank(dst_rank), payload, size_bytes=size_bytes
         )
 
-    def _progress_loop(self):
-        """The progress daemon: dispatch every inbound control message."""
-        while True:
-            msg = yield self.hca.inbox.get(
-                lambda m: isinstance(m.payload, dict)
-                and m.payload.get("dst_rank") == self.rank
-            )
-            payload = msg.payload
-            mtype = payload.get("type")
-            handler = self.handlers.get(mtype)
-            if handler is None:
-                raise MpiError(f"rank {self.rank}: no handler for {mtype!r}")
-            handler(self, payload)
+    def _progress_loop(self, payload: dict) -> None:
+        """Dispatch one landed control message to its handler."""
+        mtype = payload.get("type")
+        handler = self.handlers.get(mtype)
+        if handler is None:
+            raise MpiError(f"rank {self.rank}: no handler for {mtype!r}")
+        handler(self, payload)
 
     # -- CPU accounting helper ------------------------------------------------------
     def cpu_work(self, duration: float, label: str):
@@ -327,3 +324,25 @@ class Endpoint:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Endpoint rank={self.rank} node={self.node.node_id}>"
+
+
+def install_control_routers(endpoints) -> None:
+    """Give each node's HCA a sink that dispatches a control message to
+    the endpoint of its ``dst_rank``, through the attribute so that a
+    wrapped ``Endpoint._progress_loop`` sees every dispatch."""
+    by_node: Dict[int, Dict[int, Endpoint]] = {}
+    for ep in endpoints:
+        by_node.setdefault(ep.node.node_id, {})[ep.rank] = ep
+    for node_id, local in by_node.items():
+
+        def route(src_node, payload, local=local, node_id=node_id):
+            ep = local.get(payload["dst_rank"])
+            if ep is None:
+                raise SimulationError(
+                    f"control message for rank {payload['dst_rank']} landed "
+                    f"on node {node_id}, which does not host that rank"
+                )
+            ep._progress_loop(payload)
+
+        for ep in local.values():
+            ep.hca.control_sink = route

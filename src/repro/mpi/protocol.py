@@ -148,7 +148,7 @@ class SendState:
     grants: List = field(default_factory=list)
     #: chunk size the receiver chose; None until the first CTS.
     chunk_bytes: Optional[int] = None
-    #: re-armed every time new grants arrive
+    #: fired and re-armed when new grants arrive and something waits on it
     grant_event: Event = None  # type: ignore[assignment]
     #: chunk indices whose FIN has been posted (recovery: FIN replay pool)
     fin_sent: set = field(default_factory=set)
@@ -180,9 +180,12 @@ class SendState:
             self.endpoint.stats.dups_suppressed += 1
             chunks = chunks[have - start:]
         self.grants.extend(chunks)
-        fired, self.grant_event = self.grant_event, self.endpoint.env.event(
-            label="grants"
-        )
+        # Every waiter reads the current grant_event before it suspends,
+        # and an event fired with no callbacks has no observable effect.
+        fired = self.grant_event
+        if not fired.callbacks:
+            return
+        self.grant_event = self.endpoint.env.event(label="grants")
         fired.succeed()
 
 

@@ -27,7 +27,7 @@ from ..hw.config import HardwareConfig
 from ..hw.node import Node
 from ..sim import Environment, Tracer
 from .comm import Comm
-from .endpoint import Endpoint
+from .endpoint import Endpoint, install_control_routers
 from .protocol import install_protocol
 from .status import MpiError
 
@@ -147,6 +147,7 @@ class MpiWorld:
             rank_to_node[rank] = node.node_id
         for ep in self.endpoints:
             ep.rank_to_node = rank_to_node
+        install_control_routers(self.endpoints)
 
         self.gpu_engine = None
         if gpu_aware:

@@ -305,6 +305,7 @@ def record_wheel_baseline(
     wheel_seconds: float,
     heap_seconds: float,
     workload: str,
+    heap_per_probe: float,
     path: Optional[Path] = None,
 ) -> None:
     """Record the event-wheel-vs-heap wall-clock pair for one workload.
@@ -312,14 +313,15 @@ def record_wheel_baseline(
     Both numbers come from the same benchmark run on the same host:
     ``heap_seconds`` with ``REPRO_SIM_WHEEL=0`` (the pure-heapq hot loop)
     and ``wheel_seconds`` with the calendar wheel enabled. The perf-tier
-    pytest guard requires a fresh wheel-enabled run to stay at parity
-    with a fresh heap run -- the wheel must be neutral-to-better, never
-    a pessimization.
+    pytest guard requires a fresh wheel run to stay at parity with a fresh
+    heap run, and within 2x of ``heap_per_probe`` (heap time per run of
+    the frozen calibration probe, both timed on one host).
     """
     data = load(path)
     data["wheel_baseline"] = {
         "wheel_seconds": round(wheel_seconds, 4),
         "heap_seconds": round(heap_seconds, 4),
+        "heap_per_probe": round(heap_per_probe, 2),
         "workload": workload,
     }
     _save(data, path)

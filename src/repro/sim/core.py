@@ -14,8 +14,8 @@ from .process import Process, ProcessGenerator
 __all__ = ["Environment", "EmptySchedule", "WIRE_KEY_BASE", "wire_key"]
 
 #: Heap keys at or above this value mark *wire delivery* events: the
-#: remote-side effects of cross-node fabric traffic (control-message inbox
-#: deposits, RDMA payload landings, read requests/responses). They share
+#: remote-side effects of cross-node fabric traffic (control-message
+#: deliveries, RDMA payload landings, read requests/responses). They share
 #: the event queue with ordinary events but use a key derived from the
 #: *sending node* -- ``(src_node, per-source sequence)`` -- instead of the
 #: global creation counter. Two consequences, both deliberate:

@@ -10,7 +10,7 @@ so on.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, List, Tuple
 
 from .events import Event, SimulationError
 
@@ -166,20 +166,11 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "Store", filt: Optional[Callable[[Any], bool]]):
-        super().__init__(store.env, label=store._get_label)
-        self.filter = filt
+    __slots__ = ()
 
 
 class Store:
-    """An unbounded-or-bounded FIFO store of Python objects.
-
-    ``get`` accepts an optional filter predicate, in which case the first
-    (oldest) matching item is returned -- used e.g. for MPI message matching
-    on mailboxes.
-    """
+    """An unbounded-or-bounded FIFO store of Python objects."""
 
     def __init__(self, env: "Environment", capacity: float = float("inf"), name: str = ""):
         if capacity <= 0:
@@ -221,15 +212,11 @@ class Store:
         if self._getters:
             self._dispatch()
 
-    def get(self, filt: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        event = StoreGet(self, filt)
+    def get(self) -> StoreGet:
+        event = StoreGet(self.env, label=self._get_label)
         self._getters.append(event)
         self._dispatch()
         return event
-
-    def peek_items(self) -> tuple:
-        """Snapshot of currently stored items (for inspection/tests)."""
-        return tuple(self.items)
 
     def cancel_get(self, get: StoreGet) -> bool:
         """Withdraw a pending get; returns False if it already triggered.
@@ -248,9 +235,7 @@ class Store:
 
     def _dispatch(self) -> None:
         # Allocation-free rendezvous loop (this runs once per put/get, the
-        # hottest non-numpy path in the simulator). Unsatisfied getters are
-        # rotated back onto the same deque in their original relative
-        # order, which matches the semantics of rebuilding the queue.
+        # hottest non-numpy path in the simulator).
         items = self.items
         getters = self._getters
         putters = self._putters
@@ -262,22 +247,9 @@ class Store:
                 items.append(put.item)
                 put.succeed()
                 progress = True
-            # Satisfy getters (FIFO, skipping non-matching filters).
-            for _ in range(len(getters)):
-                get = getters.popleft()
-                idx = self._find(get.filter)
-                if idx is None:
-                    getters.append(get)
-                else:
-                    get.succeed(items.pop(idx))
-                    progress = True
+            # Satisfy getters, oldest first, with the oldest items.
+            while getters and items:
+                getters.popleft().succeed(items.pop(0))
+                progress = True
             if not progress:
                 return
-
-    def _find(self, filt: Optional[Callable[[Any], bool]]) -> Optional[int]:
-        if filt is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
-            if filt(item):
-                return i
-        return None

@@ -339,7 +339,7 @@ class ShardBridge:
 
     def send_ctl(self, src_node: int, dst_node: int, payload: Any,
                  arrival: float, key: int) -> None:
-        """Queue a control-message delivery into ``dst_node``'s inbox."""
+        """Queue a control-message delivery to ``dst_node``'s control sink."""
         PERF.bump("shard_xmsg_ctl")
         self.outbox.append((
             "ctl", arrival, key, self.view.node_to_shard[dst_node],
@@ -411,11 +411,7 @@ class ShardBridge:
 
     def _ctl_callback(self, src_node: int, dst_node: int, payload: Any):
         def apply(_event, self=self):
-            from ..ib.verbs import ControlMessage
-
-            self.fabric.hcas[dst_node].inbox.put_nowait(
-                ControlMessage(src_node, dst_node, payload)
-            )
+            self.fabric.hcas[dst_node].control_sink(src_node, payload)
         return apply
 
     def _rdma_callback(self, dst_node: int, offset: int, data: np.ndarray):
@@ -652,8 +648,8 @@ def _worker_main(index, world, shard_map, shm_names,
         env = cluster.env
 
         # Every worker holds the full world (endpoints for remote ranks
-        # are inert replicas: their progress engines block forever on
-        # inboxes the bridge never feeds), but only local ranks run.
+        # are inert replicas: no control message is ever delivered to
+        # them here), but only local ranks run.
         local = [
             ctx for ctx in world.contexts if view.owns_node(ctx.node.node_id)
         ]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hw import Cluster
-from repro.ib import ControlMessage, RemoteBuffer
+from repro.ib import RemoteBuffer
+from repro.sim import SimulationError
 
 
 @pytest.fixture
@@ -146,77 +147,91 @@ class TestRdmaWrite:
         assert t > 2 * one  # serialized, not parallel
 
 
+def collect(hca):
+    """Attach a sink to ``hca`` that records ``(time, src_node, payload)``."""
+    got = []
+    hca.control_sink = lambda src, payload: got.append(
+        (hca.env.now, src, payload)
+    )
+    return got
+
+
 class TestControlMessages:
-    def test_delivered_to_remote_inbox(self, cluster):
-        def receiver():
-            msg = yield cluster.nodes[1].hca.inbox.get()
-            return msg
+    def test_delivered_to_remote_sink(self, cluster):
+        sinks = [collect(node.hca) for node in cluster.nodes]
 
         def sender():
             yield cluster.nodes[0].hca.send_control(1, {"type": "RTS", "tag": 7})
 
-        cluster.env.process(sender())
-        msg = run(cluster, receiver())
-        assert isinstance(msg, ControlMessage)
-        assert msg.src_node == 0 and msg.dst_node == 1
-        assert msg.payload == {"type": "RTS", "tag": 7}
+        run(cluster, sender())
+        cluster.env.run()
+        assert sinks[0] == [] and sinks[2] == []
+        [(_, src, payload)] = sinks[1]
+        assert src == 0
+        assert payload == {"type": "RTS", "tag": 7}
 
     def test_pairwise_ordering(self, cluster):
         """Messages between one pair arrive in send order (RC semantics)."""
-        got = []
-
-        def receiver():
-            for _ in range(5):
-                msg = yield cluster.nodes[1].hca.inbox.get()
-                got.append(msg.payload)
+        got = collect(cluster.nodes[1].hca)
 
         def sender():
             for i in range(5):
                 yield cluster.nodes[0].hca.send_control(1, i)
 
-        cluster.env.process(sender())
-        run(cluster, receiver())
-        assert got == [0, 1, 2, 3, 4]
+        run(cluster, sender())
+        cluster.env.run()
+        assert [payload for _, _, payload in got] == [0, 1, 2, 3, 4]
 
     def test_loopback_delivery(self, cluster):
-        def program():
-            cluster.nodes[0].hca.send_control(0, "self")
-            msg = yield cluster.nodes[0].hca.inbox.get()
-            return msg.payload
-
-        assert run(cluster, program()) == "self"
+        got = collect(cluster.nodes[0].hca)
+        cluster.nodes[0].hca.send_control(0, "self")
+        cluster.env.run()
+        assert [(src, payload) for _, src, payload in got] == [(0, "self")]
 
     def test_loopback_models_size(self, cluster):
         """Loopback pays a size-dependent host-memcpy term, so a large
         self-message takes measurably longer than a tiny one."""
         cfg = cluster.cfg
+        got = collect(cluster.nodes[0].hca)
 
-        def program(size):
-            cluster.nodes[0].hca.send_control(0, "self", size_bytes=size)
-            yield cluster.nodes[0].hca.inbox.get()
-            return cluster.env.now
-
-        t_small = run(cluster, program(64))
+        cluster.nodes[0].hca.send_control(0, "self", size_bytes=64)
+        cluster.env.run()
+        t_small = got[-1][0]
         expected = cfg.net_control_overhead + 64 / cfg.host_memcpy_bandwidth
         assert t_small == pytest.approx(expected, rel=0.001)
 
         big = 1 << 20
-        t_big = run(cluster, program(big)) - t_small
+        cluster.nodes[0].hca.send_control(0, "self", size_bytes=big)
+        cluster.env.run()
+        t_big = got[-1][0] - t_small
         assert t_big == pytest.approx(
             cfg.net_control_overhead + big / cfg.host_memcpy_bandwidth,
             rel=0.001,
         )
 
+    def test_loopback_completes_before_delivery(self, cluster):
+        """The send completes one queue hop before the sink runs, both at
+        the same instant."""
+        order = []
+        hca = cluster.nodes[0].hca
+        hca.control_sink = lambda src, payload: order.append(
+            ("deliver", cluster.env.now)
+        )
+        done = hca.send_control(0, "self")
+        done.callbacks.append(lambda _ev: order.append(("done", cluster.env.now)))
+        cluster.env.run()
+        assert [what for what, _ in order] == ["deliver", "done"]
+        assert order[0][1] == order[1][1]
+
     def test_control_message_latency_is_microseconds(self, cluster):
-        def receiver():
-            yield cluster.nodes[1].hca.inbox.get()
-            return cluster.env.now
+        got = collect(cluster.nodes[1].hca)
 
         def sender():
             yield cluster.nodes[0].hca.send_control(1, "ping")
 
-        cluster.env.process(sender())
-        t = run(cluster, receiver())
+        run(cluster, sender())
+        cluster.env.run()
+        [(t, _, _)] = got
         assert 1e-6 < t < 10e-6
 
     def test_rdma_then_finish_message_ordering(self, cluster):
@@ -226,16 +241,28 @@ class TestControlMessages:
         src.view()[:] = 0x5A
         dst = cluster.nodes[1].malloc_host(4096)
         rb = cluster.nodes[1].hca.register(dst)
+        seen = []
+        # Data must already be visible when the FIN is handled.
+        cluster.nodes[1].hca.control_sink = lambda src_node, payload: seen.append(
+            (payload, int(dst.view()[0]))
+        )
 
         def sender():
             yield cluster.nodes[0].hca.rdma_write(src, rb)
             yield cluster.nodes[0].hca.send_control(1, "FIN")
 
-        def receiver():
-            msg = yield cluster.nodes[1].hca.inbox.get()
-            assert msg.payload == "FIN"
-            # Data must already be visible.
-            return int(dst.view()[0])
+        run(cluster, sender())
+        cluster.env.run()
+        assert seen == [("FIN", 0x5A)]
 
-        cluster.env.process(sender())
-        assert run(cluster, receiver()) == 0x5A
+    def test_landing_without_sink_raises(self, cluster):
+        cluster.nodes[0].hca.send_control(1, {"type": "rts", "dst_rank": 4})
+        with pytest.raises(SimulationError, match="node 1") as info:
+            cluster.env.run()
+        assert "rank 4" in str(info.value)
+
+    def test_loopback_without_sink_raises(self, cluster):
+        cluster.nodes[2].hca.send_control(2, {"type": "cts", "dst_rank": 5})
+        with pytest.raises(SimulationError, match="node 2") as info:
+            cluster.env.run()
+        assert "rank 5" in str(info.value)

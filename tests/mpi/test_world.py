@@ -5,6 +5,7 @@ import pytest
 
 from repro.hw import Cluster
 from repro.mpi import BYTE, FLOAT, Datatype, MpiError, MpiWorld, run_world
+from repro.sim import SimulationError
 
 
 class TestPlacement:
@@ -92,6 +93,30 @@ class TestIntraNode:
             return int(rbuf.view()[0])
 
         assert world.run(program) == [4, 1, 2, 3]
+
+
+class TestControlRouting:
+    def test_message_for_unhosted_rank_raises(self):
+        cluster = Cluster(2)
+        world = MpiWorld(cluster, nprocs=4)
+        # Node 1 hosts ranks 1 and 3.
+        world.endpoints[0].hca.send_control(1, {"type": "eager", "dst_rank": 2})
+        with pytest.raises(SimulationError, match="node 1") as info:
+            cluster.env.run()
+        assert "rank 2" in str(info.value)
+
+    def test_unknown_message_type_raises(self):
+        cluster = Cluster(2)
+        world = MpiWorld(cluster)
+        world.endpoints[0].post_control(1, {"type": "bogus"})
+        with pytest.raises(MpiError, match="rank 1: no handler for 'bogus'"):
+            cluster.env.run()
+
+    def test_dispatch_starts_no_process(self):
+        cluster = Cluster(2)
+        before = cluster.env._eid
+        MpiWorld(cluster, nprocs=4)
+        assert cluster.env._eid == before
 
 
 class TestRunControl:

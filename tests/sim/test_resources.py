@@ -139,35 +139,6 @@ class TestStore:
         env.run(env.process(consumer()))
         assert got == [0, 1, 2, 3, 4]
 
-    def test_filtered_get(self, env):
-        store = Store(env)
-        for i in range(5):
-            store.put(i)
-
-        def consumer():
-            item = yield store.get(lambda x: x % 2 == 1)
-            return item
-
-        assert env.run(env.process(consumer())) == 1
-        assert store.peek_items() == (0, 2, 3, 4)
-
-    def test_filtered_get_waits_for_matching_item(self, env):
-        store = Store(env)
-        store.put("nope")
-
-        def consumer():
-            item = yield store.get(lambda x: x == "yes")
-            return (item, env.now)
-
-        def producer():
-            yield env.timeout(2.0)
-            yield store.put("yes")
-
-        p = env.process(consumer())
-        env.process(producer())
-        assert env.run(p) == ("yes", 2.0)
-        assert store.peek_items() == ("nope",)
-
     def test_bounded_capacity_blocks_put(self, env):
         store = Store(env, capacity=1)
         done = []
