@@ -21,12 +21,13 @@ A flattened type is a :class:`SegmentList`: byte offsets + lengths in
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..perf.stats import PERF
-from . import dtir
+from . import dtir, dtir_passes
 
 __all__ = ["Datatype", "SegmentList", "DatatypeError"]
 
@@ -37,6 +38,18 @@ _UNSET = object()
 
 class DatatypeError(ValueError):
     """Invalid datatype construction or use of an uncommitted type."""
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _fits_int64(nbytes: int, what: str) -> int:
+    """``nbytes``, or DatatypeError when the int64 run arrays cannot hold it."""
+    if not -_INT64_MAX <= nbytes <= _INT64_MAX:
+        raise DatatypeError(
+            f"{what} of {nbytes} bytes does not fit the int64 run arrays"
+        )
+    return nbytes
 
 
 _ids = itertools.count(1)
@@ -127,9 +140,14 @@ class SegmentList:
         """Repeat the whole list ``count`` times at ``stride_bytes`` spacing."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        steps = np.arange(count, dtype=np.int64) * stride_bytes
-        offs = (steps[:, None] + self.offsets[None, :]).ravel()
-        lens = np.broadcast_to(self.lengths, (count, self.count)).ravel()
+        return self.placed(np.arange(count, dtype=np.int64) * stride_bytes)
+
+    def placed(self, starts: np.ndarray) -> "SegmentList":
+        """One copy of the whole list at each byte offset of ``starts``."""
+        offs = (starts[:, None] + self.offsets[None, :]).ravel()
+        lens = np.broadcast_to(
+            self.lengths, (starts.shape[0], self.count)
+        ).ravel()
         return SegmentList(offs, lens)
 
     def slice_bytes(self, lo: int, hi: int) -> "SegmentList":
@@ -261,12 +279,51 @@ class Datatype:
         self._committed = False
         self.type_id = next(_ids)
         self.base_np = base_np
-        #: Symbolic IR tree built by the constructor (None when the
-        #: construction had no cheap symbolic form; detection covers it).
+        #: Canonical fixpoint of the constructor's symbolic IR tree (None
+        #: when the construction had no symbolic form).
         self._ir = None
         #: Canonical-registry entry holding every compilation of this
-        #: layout (None until first use; see :meth:`_entry`).
+        #: layout (bound by a registry hit at construction, else on
+        #: first use; see :meth:`_entry`).
         self._canon_entry = None
+
+    @classmethod
+    def _build(
+        cls,
+        name: str,
+        size: int,
+        ir,
+        eager: Callable[[], SegmentList],
+        base_np: Optional[np.dtype],
+        bounds: Optional[Tuple[int, int]] = None,
+    ) -> "Datatype":
+        """A derived type from its constructor's symbolic tree.
+
+        ``ir`` is the tree built from the constructor's arguments (None
+        when it has none) and ``eager`` compiles the coalesced runs from
+        the base types' arrays. A regular canonical fixpoint names its
+        exact runs: a registry hit binds the entry and shares its runs, a
+        miss lowers the node once (and registers at commit). Any other
+        layout is compiled eagerly. ``bounds`` fixes ``(lb, extent)``;
+        by default they are the span of the runs.
+        """
+        node = None if ir is None else dtir_passes.canonicalize(ir)
+        entry = None
+        if isinstance(node, dtir.REGULAR):
+            lo, hi = dtir.span_of(node)
+            _fits_int64(lo, "lower bound")
+            _fits_int64(hi, "upper bound")
+            entry = dtir.lookup(node.key())
+            segs = (entry.segments if entry is not None
+                    else SegmentList(*dtir.lower(node)))
+        else:
+            segs = eager()
+            lo, hi = segs.span()
+        lb, extent = bounds if bounds is not None else (lo, hi - lo)
+        out = cls(name, size, lb, extent, segs, base_np=base_np)
+        out._ir = node
+        out._canon_entry = entry
+        return out
 
     # -- primitives --------------------------------------------------------------
     @classmethod
@@ -312,42 +369,19 @@ class Datatype:
         """``MPI_Type_create_hvector``: stride counted in bytes."""
         if count < 0 or blocklength < 0:
             raise DatatypeError("count and blocklength must be non-negative")
-        block = base.segments.tiled(blocklength, base.extent).coalesced()
-        if block.count == 1 and count > 0:
-            # Single-run block (every contiguous base): the tiling is
-            # analytically coalesced -- runs join exactly when the stride
-            # equals the run length -- so skip the O(count) adjacency scan.
-            off0 = int(block.offsets[0])
-            run = int(block.lengths[0])
-            if stride_bytes == run:
-                segs = SegmentList(
-                    np.array([off0], np.int64),
-                    np.array([count * run], np.int64),
-                )
-            else:
-                segs = SegmentList(
-                    off0 + np.arange(count, dtype=np.int64) * stride_bytes,
-                    np.full(count, run, dtype=np.int64),
-                )
-        else:
-            segs = block.tiled(count, stride_bytes).coalesced()
-        size = base.size * blocklength * count
-        lo, hi = segs.span()
-        if count == 0 or blocklength == 0:
-            lo = hi = 0
-        out = cls(
-            name or f"hvector({count},{blocklength},{stride_bytes})",
-            size,
-            lo,
-            hi - lo,
-            segs,
-            base_np=base.base_np,
+        ir = dtir.tiled_node(
+            dtir.tiled_node(base._ir, blocklength, base.extent),
+            count, stride_bytes,
         )
-        if base._ir is not None:
-            ir = dtir.tiled_node(base._ir, blocklength, base.extent)
-            if ir is not None:
-                out._ir = dtir.tiled_node(ir, count, stride_bytes)
-        return out
+
+        def eager() -> SegmentList:
+            block = base.segments.tiled(blocklength, base.extent).coalesced()
+            return block.tiled(count, stride_bytes).coalesced()
+
+        return cls._build(
+            name or f"hvector({count},{blocklength},{stride_bytes})",
+            base.size * blocklength * count, ir, eager, base.base_np,
+        )
 
     @classmethod
     def indexed(
@@ -371,30 +405,9 @@ class Datatype:
         """``MPI_Type_create_hindexed``: displacements in bytes."""
         if len(blocklengths) != len(byte_displacements):
             raise DatatypeError("blocklengths and displacements length mismatch")
-        parts: List[SegmentList] = []
-        symbolic = (base._ir is not None
-                    and len(blocklengths) <= dtir.MAX_SYMBOLIC_PARTS)
-        ir_parts: List[object] = []
-        for bl, disp in zip(blocklengths, byte_displacements):
-            if bl < 0:
-                raise DatatypeError("negative blocklength")
-            if bl == 0:
-                continue
-            parts.append(base.segments.tiled(bl, base.extent).shifted(disp))
-            if symbolic:
-                t = dtir.tiled_node(base._ir, bl, base.extent)
-                if t is None:
-                    symbolic = False
-                else:
-                    ir_parts.append(dtir.shifted(t, disp))
-        segs = _concat_segments(parts).coalesced()
-        size = base.size * sum(blocklengths)
-        lo, hi = segs.span()
-        out = cls(
-            name or "hindexed", size, lo, hi - lo, segs, base_np=base.base_np
-        )
-        if symbolic:
-            out._ir = dtir.struct_node(ir_parts)
+        out = cls.struct(blocklengths, byte_displacements,
+                         [base] * len(blocklengths), name=name or "hindexed")
+        out.base_np = base.base_np  # typed even with no blocks
         return out
 
     @classmethod
@@ -432,38 +445,33 @@ class Datatype:
         blocklengths: Sequence[int],
         byte_displacements: Sequence[int],
         types: Sequence["Datatype"],
+        name: str = "struct",
     ) -> "Datatype":
         """``MPI_Type_create_struct``."""
         if not (len(blocklengths) == len(byte_displacements) == len(types)):
             raise DatatypeError("struct argument length mismatch")
-        parts: List[SegmentList] = []
-        size = 0
-        symbolic = len(blocklengths) <= dtir.MAX_SYMBOLIC_PARTS
-        ir_parts: List[object] = []
-        for bl, disp, t in zip(blocklengths, byte_displacements, types):
-            if bl < 0:
-                raise DatatypeError("negative blocklength")
-            size += bl * t.size
-            if bl == 0:
-                continue
-            parts.append(t.segments.tiled(bl, t.extent).shifted(disp))
-            if symbolic and t._ir is not None:
-                node = dtir.tiled_node(t._ir, bl, t.extent)
-                if node is None:
-                    symbolic = False
-                else:
-                    ir_parts.append(dtir.shifted(node, disp))
-            else:
-                symbolic = False
-        segs = _concat_segments(parts).coalesced()
-        lo, hi = segs.span()
+        if any(bl < 0 for bl in blocklengths):
+            raise DatatypeError("negative blocklength")
+        parts = list(zip(blocklengths, byte_displacements, types))
+        ir = None
+        if len(parts) <= dtir.MAX_SYMBOLIC_PARTS:
+            ir = dtir.struct_node([
+                dtir.shifted(dtir.tiled_node(t._ir, bl, t.extent), disp)
+                for bl, disp, t in parts
+            ])
+
+        def eager() -> SegmentList:
+            return _concat_segments([
+                t.segments.tiled(bl, t.extent).shifted(disp)
+                for bl, disp, t in parts if bl
+            ]).coalesced()
+
         base_np = types[0].base_np if types else None
         if any(t.base_np != base_np for t in types):
             base_np = None
-        out = cls("struct", size, lo, hi - lo, segs, base_np=base_np)
-        if symbolic:
-            out._ir = dtir.struct_node(ir_parts)
-        return out
+        return cls._build(
+            name, sum(bl * t.size for bl, _, t in parts), ir, eager, base_np,
+        )
 
     @classmethod
     def subarray(
@@ -495,63 +503,34 @@ class Datatype:
         sizes_c = list(sizes) if order == "C" else list(reversed(sizes))
         subs_c = list(subsizes) if order == "C" else list(reversed(subsizes))
         starts_c = list(starts) if order == "C" else list(reversed(starts))
-        # Row-major strides in elements.
-        strides = [1] * ndim
+        ext = base.extent
+        full = _fits_int64(ext * math.prod(sizes), "subarray extent")
+        # Row-major strides in bytes.
+        strides = [ext] * ndim
         for d in range(ndim - 2, -1, -1):
             strides[d] = strides[d + 1] * sizes_c[d + 1]
-        # Innermost dimension is contiguous: one run per index combination
-        # of the outer dims.
-        ext = base.extent
-        run_len = subs_c[-1]
-        grids = np.meshgrid(
-            *[np.arange(s, dtype=np.int64) + st for s, st in
-              zip(subs_c[:-1], starts_c[:-1])],
-            indexing="ij",
-        ) if ndim > 1 else []
-        if ndim == 1:
-            elem_offsets = np.array([starts_c[0]], dtype=np.int64)
-        else:
-            elem_offsets = sum(
-                g * s for g, s in zip(grids, strides[:-1])
-            ).ravel() + starts_c[-1]
-        outer = SegmentList(
-            elem_offsets * ext,
-            np.full(elem_offsets.shape, run_len * ext, dtype=np.int64),
-        )
-        # Expand each run through the base type's own segments.
-        if base.segments.count == 1 and base.segments.lengths[0] == ext:
-            segs = outer.coalesced()
-        else:
-            parts = [
-                base.segments.tiled(run_len, ext).shifted(int(o))
-                for o in elem_offsets * ext
-            ]
-            segs = _concat_segments(parts).coalesced()
-        size = base.size * int(np.prod(subsizes))
-        full = base.extent * int(np.prod(sizes))
-        out = cls(
+        off0 = sum(st * s for st, s in zip(starts_c, strides))
+        # The innermost dimension tiles the base; each outer one tiles
+        # the dimension inside it.
+        ir = dtir.tiled_node(base._ir, subs_c[-1], ext)
+        for d in range(ndim - 2, -1, -1):
+            ir = dtir.tiled_node(ir, subs_c[d], strides[d])
+        ir = dtir.shifted(ir, off0)
+
+        def eager() -> SegmentList:
+            # One row of subs_c[-1] base elements per index combination
+            # of the outer dims, in C order.
+            rows = np.array([off0], np.int64)
+            for d in range(ndim - 1):
+                steps = np.arange(subs_c[d], dtype=np.int64) * strides[d]
+                rows = (rows[:, None] + steps[None, :]).ravel()
+            return base.segments.tiled(subs_c[-1], ext).placed(rows).coalesced()
+
+        return cls._build(
             f"subarray{tuple(subsizes)}of{tuple(sizes)}",
-            size,
-            0,
-            full,
-            segs,
-            base_np=base.base_np,
+            base.size * math.prod(subsizes), ir, eager, base.base_np,
+            bounds=(0, full),
         )
-        if base.segments.count == 1 and int(base.segments.lengths[0]) == ext:
-            # Dense base: the subarray is literally a block grid (inner
-            # dim contiguous, one (count, stride) pair per outer dim).
-            off0 = int(sum(st * s for st, s in zip(starts_c, strides))) * ext
-            width = run_len * ext
-            if ndim == 1:
-                out._ir = dtir.Contig(off0, width)
-            else:
-                out._ir = dtir.BlockGrid(
-                    off0,
-                    tuple((subs_c[d], strides[d] * ext)
-                          for d in range(ndim - 1)),
-                    width,
-                )
-        return out
 
     #: Distribution kinds for :meth:`darray` (MPI_DISTRIBUTE_*).
     DIST_NONE = "none"
@@ -595,6 +574,9 @@ class Datatype:
             )
         if not (0 <= rank < nprocs):
             raise DatatypeError(f"rank {rank} outside 0..{nprocs - 1}")
+        if any(g < 1 for g in gsizes):
+            raise DatatypeError("global sizes must be positive")
+        full = _fits_int64(base.extent * math.prod(gsizes), "darray extent")
 
         if order == "F":
             gsizes = list(reversed(gsizes))
@@ -613,8 +595,6 @@ class Datatype:
         # Owned global indices per dimension.
         owned: List[np.ndarray] = []
         for g, dist, darg, p, c in zip(gsizes, distribs, dargs, psizes, coords):
-            if g < 1:
-                raise DatatypeError("global sizes must be positive")
             idx = np.arange(g, dtype=np.int64)
             if dist == cls.DIST_NONE:
                 if p != 1:
@@ -650,17 +630,8 @@ class Datatype:
             offset_nd = offset_nd + (owned[d] * strides[d]).reshape(shape)
         elem_offsets = offset_nd.reshape(-1)
 
-        ext = base.extent
-        if base.segments.count == 1 and base.segments.lengths[0] == ext:
-            segs = SegmentList(
-                elem_offsets * ext,
-                np.full(elem_offsets.shape, ext, dtype=np.int64),
-            ).coalesced()
-        else:
-            parts = [base.segments.shifted(int(o) * ext) for o in elem_offsets]
-            segs = _concat_segments(parts).coalesced()
-        owned_count = int(np.prod([len(o) for o in owned])) if ndims else 0
-        full = base.extent * int(np.prod(gsizes))
+        segs = base.segments.placed(elem_offsets * base.extent).coalesced()
+        owned_count = math.prod(len(o) for o in owned) if ndims else 0
         return cls(
             f"darray(rank{rank}/{nprocs})",
             base.size * owned_count,
@@ -689,18 +660,19 @@ class Datatype:
     def commit(self) -> "Datatype":
         """``MPI_Type_commit``. Returns self for chaining.
 
-        Commit is where canonicalization happens: the constructor's
-        symbolic tree runs the rewrite passes, the compiled runs are
-        detected into their canonical node, and the type binds the
-        process-wide :class:`~repro.mpi.dtir.CanonicalEntry` it will
-        share with every equivalently laid-out type.
+        Binds the process-wide :class:`~repro.mpi.dtir.CanonicalEntry`
+        the type shares with every equivalently laid-out type. A type
+        whose constructor already found its entry (see :meth:`_build`)
+        is bound in O(1); any other registers its runs, which detection
+        canonicalizes.
         """
         self._committed = True
         self._entry()
         return self
 
     def _entry(self) -> "dtir.CanonicalEntry":
-        """This type's canonical-registry entry, bound on first use.
+        """This type's canonical-registry entry, registered on first use
+        unless construction already bound it.
 
         Layouts are immutable, so an uncommitted type's compilations are
         as shareable as a committed one's; primitives (committed at
@@ -708,9 +680,7 @@ class Datatype:
         """
         e = self._canon_entry
         if e is None:
-            e = self._canon_entry = dtir.register(
-                self._segments, self._ir, self.type_id
-            )
+            e = self._canon_entry = dtir.register(self._segments, self.type_id)
         return e
 
     @property

@@ -24,20 +24,28 @@ This module is that normal form. The op set is deliberately tiny:
     Everything else, identified by a content digest of its run arrays.
 ``Struct(children)``
     Ordered concatenation in pack order (offsets baked into children).
-    Never survives canonicalization -- the passes either flatten it into
-    one of the regular forms above or detection demotes it to
-    ``Irregular``.
+    Never keys the registry -- the passes either flatten it into one of
+    the regular forms above or the type is compiled to run arrays and
+    detection demotes it to ``Irregular``.
 
-The canonical node is computed by **detection**: :func:`detect`
-reconstructs the maximal grid structure directly from a type's
-coalesced run arrays. The run sequence *is* the semantics of a type, so
-a deterministic function of it is a sound canonical form by
-construction (two types get the same node iff they lay out the same
-bytes in the same pack order). Constructors also build a symbolic IR
-tree, which :func:`repro.mpi.dtir_passes.canonicalize` rewrites to
-fixpoint (struct flattening, contiguous coalescing, stride unification,
-dimension normalization) for the pass-level observability counters; the
-property tests pin that its lowering equals the detected one.
+Constructors build a symbolic IR tree from their arguments and
+:func:`repro.mpi.dtir_passes.canonicalize` rewrites it to fixpoint
+(struct flattening, contiguous coalescing, stride unification,
+dimension normalization). When the fixpoint is *regular* (``Empty``,
+``Contig``, ``StridedRun`` or ``BlockGrid``) its key names the exact
+run sequence, so the constructor looks that key up with :func:`lookup`
+and, on a hit, reuses the entry's run arrays without building any; on
+a miss it builds them once with :func:`lower`. Layouts with no regular
+symbolic form are compiled to run arrays eagerly.
+
+Registration goes through **detection**: :func:`detect` reconstructs
+the maximal grid structure directly from a type's coalesced run arrays.
+The run sequence *is* the semantics of a type, so a deterministic
+function of it is a sound canonical form by construction (two types get
+the same node iff they lay out the same bytes in the same pack order).
+The property tests pin that a regular symbolic fixpoint equals the
+detected node; were the two ever to disagree, a symbolic key would only
+miss the registry (one extra lowering), never create a second entry.
 
 Canonical nodes key a process-wide **registry** of
 :class:`CanonicalEntry` objects -- the one place a datatype's compiled
@@ -79,11 +87,14 @@ __all__ = [
     "coalesce_runs",
     "lower",
     "node_count",
+    "REGULAR",
+    "span_of",
     "shifted",
     "tiled_node",
     "struct_node",
     "shape_key",
     "CanonicalEntry",
+    "lookup",
     "register",
     "registry_size",
     "reset_registry",
@@ -197,6 +208,9 @@ class Struct:
 
 EMPTY = Empty()
 
+#: The canonical forms whose key spells out the exact run sequence.
+REGULAR = (Empty, Contig, StridedRun, BlockGrid)
+
 #: Struct constructors above this many parts skip the symbolic route
 #: entirely (pass cost would rival compilation); detection still
 #: canonicalizes them from the run arrays.
@@ -216,8 +230,8 @@ def node_count(node) -> int:
 
 
 def shifted(node, delta: int):
-    """The same layout displaced by ``delta`` bytes."""
-    if delta == 0 or isinstance(node, Empty):
+    """The same layout displaced by ``delta`` bytes (None stays None)."""
+    if node is None or delta == 0 or isinstance(node, Empty):
         return node
     if isinstance(node, Contig):
         return Contig(node.off + delta, node.nbytes)
@@ -232,8 +246,10 @@ def shifted(node, delta: int):
     raise TypeError(f"not an IR node: {node!r}")
 
 
-def _span(node) -> Optional[Tuple[int, int]]:
+def span_of(node) -> Optional[Tuple[int, int]]:
     """``(min_off, max_end)`` of a *regular* node, None when unknown."""
+    if isinstance(node, Empty):
+        return (0, 0)
     if isinstance(node, Contig):
         return (node.off, node.off + node.nbytes)
     if isinstance(node, StridedRun):
@@ -254,11 +270,12 @@ def tiled_node(node, count: int, stride: int):
     Returns None whenever the tiling could coalesce runs *across* tile
     boundaries (or overlap them) -- those cases are left to array-level
     detection, which sees the post-coalesce truth. A None here never
-    loses canonicalization, only the symbolic fast path.
+    loses canonicalization, only the symbolic fast path. A ``node`` of
+    None (no symbolic form) stays None unless ``count`` is zero.
     """
     if count == 0 or isinstance(node, Empty):
         return EMPTY
-    if count == 1:
+    if count == 1 or node is None:
         return node
     if isinstance(node, Contig):
         if node.nbytes == 0:
@@ -268,7 +285,7 @@ def tiled_node(node, count: int, stride: int):
         if stride > node.nbytes:
             return StridedRun(node.off, count, node.nbytes, stride)
         return None  # overlapping / reversed tiling
-    span = _span(node)
+    span = span_of(node)
     if span is None:
         return None  # Struct / Irregular children: leave to detection
     lo, hi = span
@@ -315,8 +332,8 @@ def struct_node(children) -> object:
 def lower(node) -> Tuple[np.ndarray, np.ndarray]:
     """Run arrays ``(offsets, lengths)`` of a node, in pack order.
 
-    Used by the property tests; the hot path never lowers (entries are
-    seeded with the registering type's compiled arrays).
+    Constructors lower a regular canonical node once, on a registry
+    miss; a hit reuses the registered entry's arrays instead.
     """
     if isinstance(node, Empty):
         z = np.empty(0, np.int64)
@@ -685,23 +702,33 @@ def reset_registry() -> None:
     _REGISTRY.clear()
 
 
-def register(segments, ir_node, type_id: int) -> CanonicalEntry:
+def lookup(key: tuple) -> Optional[CanonicalEntry]:
+    """The registered entry of a regular canonical ``key``, or None.
+
+    Constructors call this with the key of their symbolic fixpoint; a hit
+    binds the new type to the entry, which counts as one binding and one
+    collision (a type being constructed cannot be an entry's creator).
+    """
+    entry = _REGISTRY.get(key)
+    if entry is not None:
+        _REGISTRY.move_to_end(key)
+        PERF.bump("dtir_canon")
+        PERF.bump("dtir_entry_reuse")
+        PERF.bump("dtir_collision")
+    return entry
+
+
+def register(segments, type_id: int) -> CanonicalEntry:
     """Canonicalize a type's runs and bind its registry entry.
 
-    ``ir_node`` is the constructor's symbolic tree when one was built
-    (None otherwise); it feeds the pass pipeline for the rewrite
-    counters. Detection on ``segments`` is authoritative for the
-    canonical key. A regular key (``Contig``/``StridedRun``/``BlockGrid``)
-    spells out the exact runs; an ``Irregular`` digest key is confirmed
-    against the entry's run arrays on a hit, and a digest collision gets
-    a private, unregistered entry so it never shares compilations.
+    Detection on ``segments`` is authoritative for the canonical key. A
+    regular key (``Contig``/``StridedRun``/``BlockGrid``) spells out the
+    exact runs; an ``Irregular`` digest key is confirmed against the
+    entry's run arrays on a hit, and a digest collision gets a private,
+    unregistered entry so it never shares compilations.
     """
-    from .dtir_passes import canonicalize
-
     PERF.bump("dtir_canon")
     det = detect(segments.offsets, segments.lengths)
-    if ir_node is not None:
-        canonicalize(ir_node)
     key = det.key()
     entry = _REGISTRY.get(key)
     if entry is None:

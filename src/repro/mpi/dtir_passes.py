@@ -1,8 +1,8 @@
 """Deterministic rewrite passes over the datatype IR.
 
 The symbolic half of canonicalization: constructors build an IR tree
-(:mod:`repro.mpi.dtir`) and :func:`canonicalize` rewrites it to a
-fixpoint. Four passes run in a fixed order, repeated until nothing
+(:mod:`repro.mpi.dtir`) from their arguments and :func:`canonicalize`
+rewrites it to a fixpoint, once per construction. Four passes run in a fixed order, repeated until nothing
 changes:
 
 1. **struct flattening** (``dtir_rw_flatten``) -- inline nested
@@ -31,11 +31,18 @@ Confluence: every rewrite strictly reduces a well-founded measure
 (node count, then grid-dim count, then segment count at equal node
 count), so the fixpoint exists; and each rewrite preserves the lowering
 (the run sequence in pack order) exactly, so any rewrite order ends at
-a form with the same lowering. Array-level detection
-(:func:`repro.mpi.dtir.detect`) maps that lowering to *the* canonical
-node, which is why the registry keys off detection while these passes
-provide the observability counters (``dtir_nodes_before/after``,
-``dtir_rw_*``).
+a form with the same lowering.
+
+The fixpoint keys the registry: when it is regular (``Empty``,
+``Contig``, ``StridedRun``, ``BlockGrid``) the constructor looks its key
+up (:func:`repro.mpi.dtir.lookup`), and a hit binds the new type with no
+run arrays built at all. Detection (:func:`repro.mpi.dtir.detect`) stays
+authoritative on a miss: the lowered runs register through it, so a
+fixpoint that ever disagreed with detection would cost one extra
+lowering, never a second registry entry. The property tests pin that a
+regular fixpoint equals the detected node. The passes also feed the
+observability counters (``dtir_nodes_before/after``, ``dtir_rw_*``),
+for every construction with a tree.
 
 Dimension *sorting* (descending contiguous footprint) deliberately
 lives in :func:`repro.mpi.dtir.shape_key`, not here: reordering grid

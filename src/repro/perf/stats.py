@@ -89,8 +89,9 @@ recovery layer; all zero unless a FaultPlan or RecoveryConfig is armed)
 Datatype-IR counters (:mod:`repro.mpi.dtir`)
 --------------------------------------------------------------------------
 ``dtir_canon``
-    Datatypes canonicalized through the IR (detection + passes), once
-    per type on commit or first use.
+    Datatypes bound to a canonical registry entry, once per type: at
+    construction when the symbolic fixpoint's key hits the registry,
+    otherwise on commit or first use (detection on the runs).
 ``dtir_collision``
     Canonical collisions: a distinct datatype instance whose canonical
     form matched an existing registry entry (the collapse the IR is for).
@@ -98,10 +99,13 @@ Datatype-IR counters (:mod:`repro.mpi.dtir`)
     Registry lookups that returned an existing entry (collisions plus
     re-binds of the same type, e.g. after unpickling).
 ``dtir_nodes_before`` / ``dtir_nodes_after``
-    Symbolic IR node totals entering / leaving the pass pipeline.
+    Symbolic IR node totals entering / leaving the pass pipeline. The
+    passes run at construction, so every type built with a symbolic tree
+    counts, uncommitted intermediate types included.
 ``dtir_rw_flatten`` / ``dtir_rw_coalesce`` / ``dtir_rw_unify`` / ``dtir_rw_dims``
     Applied rewrites per pass (struct flattening, contiguous coalescing,
-    stride unification, dimension normalization).
+    stride unification, dimension normalization), counted at
+    construction like the node totals.
 ``dtir_seg_shared`` / ``dtir_slice_shared`` / ``dtir_plan_shared`` / ``dtir_sig_shared``
     Cache hits served by a compilation another datatype instance created
     -- the cross-instance sharing attributable to canonicalization (each

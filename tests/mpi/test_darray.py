@@ -74,6 +74,17 @@ class TestConstruction:
         with pytest.raises(DatatypeError):
             D.darray(base=BYTE, **kwargs)
 
+    def test_extent_overflow_raises(self):
+        # 2**66 bytes: an int64 product would wrap to an extent of 0.
+        with pytest.raises(DatatypeError, match="does not fit"):
+            D.darray(1, 0, [2**33, 2**33], [D.DIST_NONE] * 2, [None, None],
+                     [1, 1], BYTE)
+
+    def test_dense_base_keeps_its_offset(self):
+        base = D.hindexed([1], [8], FLOAT)
+        t = D.darray(2, 1, [6], [D.DIST_BLOCK], [None], [2], base)
+        assert seg_pairs(t) == [(20, 12)]
+
     def test_pieces_partition_global_array(self):
         """Union of all ranks' darray segments == the whole array, once."""
         nprocs, g = 4, [6, 8]

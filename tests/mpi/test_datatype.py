@@ -167,6 +167,25 @@ class TestSubarray:
         with pytest.raises(DatatypeError):
             Datatype.subarray([4], [2], [0], FLOAT, order="X")
 
+    def test_extent_overflow_raises(self):
+        # 2**66 bytes: an int64 product would wrap to an extent of 0.
+        with pytest.raises(DatatypeError, match="does not fit"):
+            Datatype.subarray([2**33, 2**33], [1, 1], [0, 0], BYTE)
+        big = Datatype.subarray([2**31, 2**31], [1, 1], [0, 0], BYTE)
+        assert big.extent == 2**62 and seg_pairs(big) == [(0, 1)]
+
+    @pytest.mark.parametrize("order, subsizes, want", [
+        ("C", [2, 1], [(32, 4), (48, 4)]),  # elements 6 and 10
+        ("F", [1, 2], [(24, 4), (36, 4)]),  # elements 4 and 7
+    ])
+    def test_dense_base_keeps_its_offset(self, order, subsizes, want):
+        # One run at byte 8 of a 4-byte extent: element i lies at 4i + 8.
+        base = Datatype.hindexed([1], [8], FLOAT)
+        assert (base.lb, base.extent) == (8, 4)
+        t = Datatype.subarray([3, 4], subsizes, [1, 2] if order == "C"
+                              else [1, 1], base, order=order)
+        assert seg_pairs(t) == want
+
 
 class TestResizedAndCommit:
     def test_resized_changes_extent_only(self):

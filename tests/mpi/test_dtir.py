@@ -4,7 +4,9 @@ Three property groups pin the compiler's contract:
 
 * **lowering fidelity** -- for random constructor trees, the detected
   canonical node and the symbolically canonicalized tree both lower to
-  exactly the constructors' coalesced run arrays;
+  exactly the constructors' coalesced run arrays (regular layouts now
+  take those runs from the passes, so ``test_dtir_oracle.py`` checks
+  them against an independent typemap expansion);
 * **fresh-compilation reference** -- every registry-served artifact
   (tilings, chunk slices, gather indices, transfer plans and their
   stage costs, tuning signatures) equals a from-scratch compilation of
