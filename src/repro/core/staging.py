@@ -35,6 +35,7 @@ class TbufPool:
         # deposits a spare synchronously before the get, so the pipeline
         # blocks exactly when all `chunks` are in flight.
         self._spare = chunks
+        self._peak = 0
 
     @property
     def available(self) -> int:
@@ -43,6 +44,11 @@ class TbufPool:
     @property
     def in_use(self) -> int:
         return self.count - (len(self._store) + self._spare)
+
+    @property
+    def peak_in_use(self) -> int:
+        """High-water mark of simultaneously-acquired chunks."""
+        return self._peak
 
     def acquire(self):
         """Get one tbuf chunk (an event; yield it)."""
@@ -53,7 +59,9 @@ class TbufPool:
             self._store.put_nowait(
                 self._backing.sub(i * self.chunk_bytes, self.chunk_bytes)
             )
-        return self._store.get()
+        get = self._store.get()
+        self._peak = max(self._peak, self.in_use)
+        return get
 
     def cancel(self, get) -> bool:
         """Withdraw a pending acquire (recovery-layer degradation path)."""

@@ -7,7 +7,8 @@ owns
 * the **handler registry** for control messages (eager payloads,
   RTS/CTS/FIN, and any message types registered by the GPU pipeline or
   RMA windows),
-* rendezvous bookkeeping (send/recv transaction states keyed by SSN),
+* rendezvous bookkeeping (the send/receive flows of
+  :mod:`repro.mpi.protocol`, keyed by SSN),
 * the host staging-buffer pool (**vbufs**) used by staged rendezvous and by
   the GPU pipeline, pre-allocated and registered exactly like MVAPICH2's.
 
@@ -42,23 +43,50 @@ class EndpointStats:
     message and byte counts per protocol path, rendezvous transaction
     counts and staging-pool high-water marks. Updated by the protocol and
     pipeline layers; read them in tests, benchmarks or tuning scripts.
+    The high-water marks are read from the pools themselves: the vbuf
+    pools given at construction and the device tbuf pool the GPU engine
+    attaches as ``tbufs`` (0 while a pool is absent).
     """
 
-    __slots__ = (
+    COUNTERS = (
         "eager_sent", "eager_bytes_sent",
         "rndv_sent", "rndv_bytes_sent",
         "gpu_sent", "gpu_bytes_sent",
         "msgs_received", "bytes_received",
         "chunks_sent", "ctrl_messages",
-        "send_vbuf_peak", "recv_vbuf_peak", "tbuf_peak",
         # Recovery-layer counters (nonzero only under faults/contention).
         "rdma_retries", "rts_retries", "nacks_sent", "fins_resent",
         "dups_suppressed", "degrades",
     )
+    PEAKS = ("send_vbuf_peak", "recv_vbuf_peak", "tbuf_peak")
 
-    def __init__(self):
-        for name in self.__slots__:
+    __slots__ = COUNTERS + ("send_vbufs", "recv_vbufs", "tbufs")
+
+    def __init__(self, send_vbufs=None, recv_vbufs=None):
+        for name in self.COUNTERS:
             setattr(self, name, 0)
+        self.send_vbufs = send_vbufs
+        self.recv_vbufs = recv_vbufs
+        self.tbufs = None
+
+    @staticmethod
+    def _peak(pool) -> int:
+        return pool.peak_in_use if pool is not None else 0
+
+    @property
+    def send_vbuf_peak(self) -> int:
+        """Most send vbufs ever held at once."""
+        return self._peak(self.send_vbufs)
+
+    @property
+    def recv_vbuf_peak(self) -> int:
+        """Most receive vbufs ever held at once."""
+        return self._peak(self.recv_vbufs)
+
+    @property
+    def tbuf_peak(self) -> int:
+        """Most device staging (tbuf) chunks ever held at once."""
+        return self._peak(self.tbufs)
 
     def note_send(self, path: str, nbytes: int) -> None:
         if path == "eager":
@@ -76,7 +104,7 @@ class EndpointStats:
         self.bytes_received += nbytes
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self.COUNTERS + self.PEAKS}
 
     @property
     def total_sent(self) -> int:
@@ -194,9 +222,9 @@ class Endpoint:
         # hold buffers while waiting for grants, which the receiver side
         # cannot issue without buffers of its own. Distinct pools break the
         # cycle (MVAPICH2 likewise partitions its vbuf queues by use).
-        self.stats = EndpointStats()
         self.send_vbufs = VbufPool(self.env, node, vbuf_bytes, vbuf_count)
         self.recv_vbufs = VbufPool(self.env, node, vbuf_bytes, vbuf_count)
+        self.stats = EndpointStats(self.send_vbufs, self.recv_vbufs)
         #: Serializes the posting of envelope-carrying messages (eager
         #: payloads and RTSes) so that two sends to the same destination hit
         #: the wire in Isend call order -- MPI's non-overtaking guarantee.
@@ -204,9 +232,9 @@ class Endpoint:
 
         #: handler registry: message "type" -> fn(endpoint, payload_dict)
         self.handlers: Dict[str, Callable[["Endpoint", dict], None]] = {}
-        #: sender-side rendezvous transactions: ssn -> state object
+        #: sender-side rendezvous transactions: ssn -> send flow
         self.send_states: Dict[tuple, Any] = {}
-        #: receiver-side rendezvous transactions: ssn -> state object
+        #: receiver-side rendezvous transactions: ssn -> receive flow
         self.recv_states: Dict[tuple, Any] = {}
         #: Recovery policy (:class:`repro.core.config.RecoveryConfig`) or
         #: None. Armed by the world when the cluster carries a FaultPlan or
@@ -235,7 +263,7 @@ class Endpoint:
         #: these are suppressed instead of raising).
         self.retired_ssns: set = set()
         #: Completed send-side transactions kept for FIN retransmission
-        #: (armed only): ssn -> SendState. A receiver NACK can arrive after
+        #: (armed only): ssn -> send flow. A receiver NACK can arrive after
         #: the sender finished if the dropped message was a final FIN.
         self.sent_history: Dict[tuple, Any] = {}
         self._next_seq = 0
@@ -309,18 +337,29 @@ class Endpoint:
             raise MpiError(f"rank {self.rank}: no handler for {mtype!r}")
         handler(self, payload)
 
-    # -- CPU accounting helper ------------------------------------------------------
-    def cpu_work(self, duration: float, label: str):
-        """Occupy the host CPU for ``duration`` (a generator).
+    # -- CPU accounting helpers -----------------------------------------------------
+    def cpu_claim(self, duration: float, label: str) -> Event:
+        """Occupy the host CPU for ``duration``; returns the timeout that
+        fires when the slice ends (the callback form of :meth:`cpu_work`).
 
-        Always suspends, even for zero work: a caller resumes one queue
-        hop later, behind everything already scheduled for that instant.
+        The waiter must hand that timeout to :meth:`cpu_done` when it
+        fires. Even zero work is one queue hop: the waiter resumes behind
+        everything already scheduled for that instant.
         """
         start, end = self.node.cpu.claim(duration)
-        yield self.env.timeout_at(end)
+        return self.env.timeout_at(end, (start, label))
+
+    def cpu_done(self, event: Event) -> None:
+        """Trace a finished :meth:`cpu_claim` slice (call as it fires)."""
         if self.tracer.enabled:
-            self.tracer.record(start, end, self._cpu_engine, label)
-        return None
+            start, label = event._value
+            self.tracer.record(start, self.env.now, self._cpu_engine, label)
+
+    def cpu_work(self, duration: float, label: str):
+        """Occupy the host CPU for ``duration`` (a generator)."""
+        slice_ = self.cpu_claim(duration, label)
+        yield slice_
+        self.cpu_done(slice_)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Endpoint rank={self.rank} node={self.node.node_id}>"

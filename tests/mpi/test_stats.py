@@ -74,6 +74,46 @@ class TestStats:
         assert 1 <= send_peak <= 8
         assert 1 <= recv_peak <= 8
 
+    def test_host_rendezvous_counts_chunks(self):
+        rows = 3 << 14  # 192 KiB packed -> three 64 KiB vbuf chunks
+        vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
+
+        def program(ctx):
+            buf = ctx.node.malloc_host(rows * 8)
+            if ctx.rank == 0:
+                yield from ctx.comm.Send(buf, 1, vec, dest=1)
+                s = ctx.endpoint.stats
+                assert s.rndv_sent == 1
+                assert s.chunks_sent == 3
+            else:
+                yield from ctx.comm.Recv(buf, 1, vec, source=0)
+
+        run_world(program, 2)
+
+    def test_staging_peaks_come_from_the_pools(self):
+        rows = 1 << 17  # 512 KB -> 8 chunks through vbufs and tbufs
+
+        def program(ctx):
+            vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
+            buf = ctx.cuda.malloc(rows * 8)
+            if ctx.rank == 0:
+                yield from ctx.comm.Send(buf, 1, vec, dest=1)
+            else:
+                yield from ctx.comm.Recv(buf, 1, vec, source=0)
+            ep = ctx.endpoint
+            tbufs = ctx.world.gpu_engine.resources(ep).tbufs
+            return (ep.stats.as_dict(), ep.send_vbufs.peak_in_use,
+                    ep.recv_vbufs.peak_in_use, tbufs.peak_in_use)
+
+        (send, send_peak, _, send_tbufs), (recv, _, recv_peak, recv_tbufs) = (
+            run_world(program, 2)
+        )
+        assert send["send_vbuf_peak"] == send_peak > 0
+        assert send["tbuf_peak"] == send_tbufs > 0
+        assert recv["recv_vbuf_peak"] == recv_peak > 0
+        assert recv["tbuf_peak"] == recv_tbufs > 0
+        assert send["recv_vbuf_peak"] == recv["send_vbuf_peak"] == 0
+
     def test_control_messages_counted(self):
         def program(ctx):
             buf = ctx.node.malloc_host(1 << 18)
