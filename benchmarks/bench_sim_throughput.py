@@ -15,17 +15,15 @@ of the frozen :mod:`calibration_probe` takes, both timed back to back.
 recorded ratio fails the perf tier), so the gate means the same on any
 host.
 
-``wheel_baseline`` keeps the fig5:quick wall-clock pair (calendar wheel
-on and off, informative) and ``heap_per_probe``, the pure-heap fig5:quick
-time in units of one probe run; the wheel guard's ceiling is relative to
-it for the same reason.
+``fig5_baseline`` keeps the fig5:quick wall-clock (informative) and
+``per_probe``, the fig5:quick time in units of one probe run; the fig5
+guard's ceiling is relative to it for the same reason.
 """
 
-import os
 import time
 
 from calibration_probe import probe_seconds
-from repro.perf.hotpath import record_sim_throughput, record_wheel_baseline
+from repro.perf.hotpath import record_fig5_baseline, record_sim_throughput
 from repro.sim import Environment
 
 CHAINS = 64
@@ -34,16 +32,16 @@ WORKLOAD = (
     f"{CHAINS} timeout chains x {DEPTH} deep, half zero-delay "
     "(immediate lane), half positive-delay (heap)"
 )
-WHEEL_WORKLOAD = "fig5:quick, verify off, 1 iteration (sequential)"
+FIG5_WORKLOAD = "fig5:quick, verify off, 1 iteration (sequential)"
 
 
-def run_workload(event_pooling: bool = True, burn: int = 0) -> Environment:
+def run_workload(burn: int = 0) -> Environment:
     """Drive the reference workload to completion; returns the environment.
 
     ``burn`` adds that many idle loop turns after every event: a seeded
     slowdown of the mesh, for checking that the perf gate trips.
     """
-    env = Environment(event_pooling=event_pooling)
+    env = Environment()
 
     def chain(i):
         delay = 0.0 if i % 2 == 0 else 1e-6 * (1 + i)
@@ -58,13 +56,12 @@ def run_workload(event_pooling: bool = True, burn: int = 0) -> Environment:
     return env
 
 
-def measure_events_per_second(repeats: int = 3,
-                              event_pooling: bool = True) -> float:
+def measure_events_per_second(repeats: int = 3) -> float:
     """Best-of-N events/second (scheduled events over wall-clock)."""
     best = 0.0
     for _ in range(repeats):
         start = time.perf_counter()
-        env = run_workload(event_pooling=event_pooling)
+        env = run_workload()
         elapsed = time.perf_counter() - start
         best = max(best, env._eid / elapsed)
     return best
@@ -88,76 +85,55 @@ def measure_events_per_probe(repeats: int = 5, burn: int = 0) -> float:
     return best
 
 
-def measure_fig5_wallclock(event_wheel: bool, repeats: int = 5,
-                           slowdown: int = 1) -> float:
-    """Best-of-N wall-clock for sequential fig5:quick, wheel on or off.
+def measure_fig5_wallclock(repeats: int = 5, slowdown: int = 1) -> float:
+    """Best-of-N wall-clock for sequential fig5:quick.
 
     A full-fidelity workload (the real 5-stage pipeline, not a synthetic
-    timeout mesh): the guard on this pair enforces that the calendar
-    wheel never pessimizes a paper experiment relative to the pure-heap
-    hot loop it replaced. ``slowdown`` runs the experiment that many
-    times per timed repeat: a seeded slowdown, for checking that the
-    guard trips.
+    timeout mesh). ``slowdown`` runs the experiment that many times per
+    timed repeat: a seeded slowdown, for checking that the guard trips.
     """
     from repro.bench.experiments import fig5_vector_latency
 
-    saved = os.environ.get("REPRO_SIM_WHEEL")
-    os.environ["REPRO_SIM_WHEEL"] = "1" if event_wheel else "0"
-    try:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(slowdown):
-                fig5_vector_latency("quick", verify=False, iterations=1)
-            best = min(best, time.perf_counter() - start)
-        return best
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SIM_WHEEL", None)
-        else:
-            os.environ["REPRO_SIM_WHEEL"] = saved
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(slowdown):
+            fig5_vector_latency("quick", verify=False, iterations=1)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
-def measure_fig5_per_probe(event_wheel: bool, repeats: int = 5,
-                           slowdown: int = 1) -> float:
+def measure_fig5_per_probe(repeats: int = 5, slowdown: int = 1) -> float:
     """fig5:quick wall-clock in units of one calibration-probe run.
 
     The probe is timed right before and after the experiment and the
     faster run is used, as in :func:`measure_events_per_probe`.
     """
     before = probe_seconds()
-    seconds = measure_fig5_wallclock(event_wheel, repeats, slowdown)
+    seconds = measure_fig5_wallclock(repeats, slowdown)
     return seconds / min(before, probe_seconds())
 
 
 def test_sim_event_throughput(benchmark):
     eps = benchmark.pedantic(measure_events_per_second, rounds=1, iterations=1)
-    pooled_off = measure_events_per_second(repeats=1, event_pooling=False)
     per_probe = measure_events_per_probe()
     benchmark.extra_info["events_per_second"] = round(eps)
-    benchmark.extra_info["events_per_second_pooling_off"] = round(pooled_off)
     benchmark.extra_info["events_per_probe"] = round(per_probe)
     record_sim_throughput(eps, WORKLOAD, events_per_probe=per_probe)
     print(
-        f"\nsim throughput: {eps / 1e6:.2f}M events/s pooled, "
-        f"{pooled_off / 1e6:.2f}M events/s unpooled, "
+        f"\nsim throughput: {eps / 1e6:.2f}M events/s, "
         f"{per_probe:.0f} events per probe"
     )
     assert eps > 0 and per_probe > 0
 
 
-def test_wheel_vs_heap_baseline(benchmark):
-    wheel = benchmark.pedantic(
-        measure_fig5_wallclock, args=(True,), rounds=1, iterations=1
+def test_fig5_baseline(benchmark):
+    seconds = benchmark.pedantic(
+        measure_fig5_wallclock, rounds=1, iterations=1
     )
-    heap = measure_fig5_wallclock(False)
-    heap_per_probe = measure_fig5_per_probe(False)
-    benchmark.extra_info["wheel_seconds"] = round(wheel, 4)
-    benchmark.extra_info["heap_seconds"] = round(heap, 4)
-    benchmark.extra_info["heap_per_probe"] = round(heap_per_probe, 2)
-    record_wheel_baseline(wheel, heap, WHEEL_WORKLOAD, heap_per_probe)
-    print(
-        f"\nfig5:quick wall-clock: {wheel:.3f}s wheel, {heap:.3f}s heap "
-        f"({heap / wheel:.2f}x), heap {heap_per_probe:.2f} probes"
-    )
-    assert wheel > 0 and heap > 0 and heap_per_probe > 0
+    per_probe = measure_fig5_per_probe()
+    benchmark.extra_info["seconds"] = round(seconds, 4)
+    benchmark.extra_info["per_probe"] = round(per_probe, 2)
+    record_fig5_baseline(seconds, FIG5_WORKLOAD, per_probe)
+    print(f"\nfig5:quick wall-clock: {seconds:.3f}s, {per_probe:.2f} probes")
+    assert seconds > 0 and per_probe > 0

@@ -430,7 +430,7 @@ def ablation_chunk_size(scale: str = "full", verify: bool = False) -> dict:
     points = []
     for chunk in chunks:
         cand = Candidate(chunk, default.pipeline_threshold,
-                         default.tbuf_chunks, default.use_plans)
+                         default.tbuf_chunks)
         t = trial_latency(message, cand, iterations=2, verify=verify)
         points.append({"size": chunk, "latency": t})
     best = min(points, key=lambda p: p["latency"])
@@ -1049,7 +1049,7 @@ def conformance(scale: str = "full", verify: bool = True,
                     chunk_bytes=default_chunk,
                     pipeline_threshold=default_chunk,
                     tbuf_chunks=GpuNcConfig().tbuf_chunks,
-                    use_plans=True, backend=winner,
+                    backend=winner,
                 ),
             )
             points.append((layout, elem, size, measured, default_lat,
@@ -1266,7 +1266,6 @@ def coll_datatype_aware(scale: str = "full", verify: bool = True,
             chunk_bytes=default.chunk_bytes,
             pipeline_threshold=default.pipeline_threshold,
             tbuf_chunks=default.tbuf_chunks,
-            use_plans=default.use_plans,
             backend="gpu",
         )
         for sig in sigs:

@@ -40,13 +40,6 @@ class GpuNcConfig:
     #: pulled straight over PCIe with per-row DMA (the "D2H nc2c" scheme),
     #: isolating the offload contribution in ablations.
     use_gpu_offload: bool = True
-    #: When True (default), strided offloaded transfers replay compiled
-    #: :class:`~repro.core.plan.TransferPlan` chunk tables instead of
-    #: recomputing per-chunk state. Wall-clock only: simulated timestamps,
-    #: event order and transferred bytes are identical either way (the
-    #: trace-equality tests pin this), so the switch exists for those
-    #: tests and for debugging.
-    use_plans: bool = True
     #: Which transfer backend moves strided chunks: ``"auto"`` (default)
     #: follows the tuning table when one is attached and otherwise uses
     #: the GPU-pack pipeline (exactly the historical engine); ``"gpu"``,

@@ -319,10 +319,9 @@ class GpuSendFlow(_proto.SendFlow):
         # vbuf. Identical schedule, half the functional copies. Only the
         # GPU-pack backend replays plans.
         self.tplan = self.costs = None
-        config = engine.config
         if (
-            config.use_plans and plan.kind == "strided"
-            and config.use_gpu_offload and backend.wants_plans
+            plan.kind == "strided"
+            and engine.config.use_gpu_offload and backend.wants_plans
         ):
             self.tplan = dtype.plan_for(count, chunk, self.buf.space, "wire")
             self.costs = self.tplan.costs_for(endpoint.cuda.cfg)
@@ -397,10 +396,9 @@ class GpuRecvFlow(_proto.RecvFlow):
         # datatype instances, so partial-size messages keep the ad-hoc
         # path.
         self.rplan = self.rcosts = None
-        config = engine.config
         if (
-            config.use_plans and plan.kind == "strided"
-            and config.use_gpu_offload and backend.wants_plans
+            plan.kind == "strided"
+            and engine.config.use_gpu_offload and backend.wants_plans
             and total == req.datatype.size * req.count
         ):
             self.rplan = req.datatype.plan_for(

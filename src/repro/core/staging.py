@@ -56,7 +56,7 @@ class TbufPool:
         if not len(self._store) and self._spare:
             i = self.count - self._spare
             self._spare -= 1
-            self._store.put_nowait(
+            self._store.put(
                 self._backing.sub(i * self.chunk_bytes, self.chunk_bytes)
             )
         get = self._store.get()
@@ -96,4 +96,4 @@ class TbufPool:
                 raise ValueError(
                     f"double release of tbuf chunk at offset {buf.offset}"
                 )
-        self._store.put_nowait(buf)
+        self._store.put(buf)

@@ -155,7 +155,7 @@ class VbufPool:
         if not len(self._store) and self._spare:
             i = self.count - self._spare
             self._spare -= 1
-            self._store.put_nowait(
+            self._store.put(
                 self._backing.sub(i * self.buf_bytes, self.buf_bytes)
             )
         get = self._store.get()
@@ -193,7 +193,7 @@ class VbufPool:
                 raise MpiError(
                     f"double release of vbuf at offset {buf.offset}"
                 )
-        self._store.put_nowait(buf)
+        self._store.put(buf)
 
 
 class Endpoint:

@@ -28,11 +28,7 @@ Counter names
     chunk size and buffer kinds).
 ``event_pool_hit`` / ``event_pool_miss``
     Simulation Timeout events served from the environment's recycle pool
-    vs. freshly allocated (only counted while pooling is enabled).
-``event_wheel_hit`` / ``event_wheel_miss``
-    Timed events placed in the calendar wheel's near-horizon buckets vs.
-    routed to the binary heap (far timestamps, calibration warm-up, bulk
-    batches). Wall-clock only; placement never affects event order.
+    vs. freshly allocated.
 
 Shard counters (:mod:`repro.sim.shard`; all zero on sequential runs)
 --------------------------------------------------------------------------
@@ -242,15 +238,9 @@ class PerfStats:
         return hits / total if total else 0.0
 
     def pool_rate(self) -> float:
-        """Event-pool hit rate in [0, 1] (0 when pooling never engaged)."""
+        """Event-pool hit rate in [0, 1] (0 when no timeout was made)."""
         hits = self.counters["event_pool_hit"]
         total = hits + self.counters["event_pool_miss"]
-        return hits / total if total else 0.0
-
-    def wheel_rate(self) -> float:
-        """Event-wheel placement rate in [0, 1] (0 when never engaged)."""
-        hits = self.counters["event_wheel_hit"]
-        total = hits + self.counters["event_wheel_miss"]
         return hits / total if total else 0.0
 
     def footer(self) -> str:
@@ -269,8 +259,6 @@ class PerfStats:
             f"({c['plan_cache_hit']}/{plan})",
             f"event-pool {100 * self.pool_rate():.0f}% hit "
             f"({c['event_pool_hit']}/{pool})",
-            f"event-wheel {100 * self.wheel_rate():.0f}% "
-            f"({c['event_wheel_hit']}/{c['event_wheel_hit'] + c['event_wheel_miss']})",
             f"pack {c['gather_2d'] + c['scatter_2d']} 2d / "
             f"{c['gather_vec'] + c['scatter_vec']} vec",
             f"idx {c['index_reuse']} reused / {c['index_build']} built",
@@ -323,7 +311,6 @@ class PerfStats:
             f"events per shard {per_shard}",
             f"payload {c['shard_payload_shm_bytes']} B shm / "
             f"{c['shard_payload_inline_bytes']} B inline",
-            f"wheel {100 * self.wheel_rate():.0f}%",
         ]
         return "[shard: " + ", ".join(parts) + "]"
 

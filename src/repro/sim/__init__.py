@@ -19,7 +19,7 @@ from .events import (
     Timeout,
 )
 from .process import Process, ProcessGenerator
-from .resources import Request, Resource, Server, Store, StoreGet, StorePut
+from .resources import Request, Resource, Server, Store, StoreGet
 from .trace import FaultRecord, Interval, Tracer, union_duration
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "StorePut",
     "StoreGet",
     "Tracer",
     "Interval",

@@ -17,7 +17,7 @@ from .events import Event, SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["Server", "Resource", "Request", "Store", "StorePut", "StoreGet"]
+__all__ = ["Server", "Resource", "Request", "Store", "StoreGet"]
 
 
 class Server:
@@ -157,57 +157,29 @@ class Resource:
             self.release(request)
 
 
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env, label=store._put_label)
-        self.item = item
-
-
 class StoreGet(Event):
     __slots__ = ()
 
 
 class Store:
-    """An unbounded-or-bounded FIFO store of Python objects."""
+    """An unbounded FIFO store of Python objects."""
 
-    def __init__(self, env: "Environment", capacity: float = float("inf"), name: str = ""):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, env: "Environment", name: str = ""):
         self.env = env
-        self.capacity = capacity
         self.name = name
-        self._put_label = f"put:{name}"
         self._get_label = f"get:{name}"
         self.items: list[Any] = []
-        self._putters: Deque[StorePut] = deque()
         self._getters: Deque[StoreGet] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        event = StorePut(self, item)
-        self._putters.append(event)
-        self._dispatch()
-        return event
+    def put(self, item: Any) -> None:
+        """Deposit an item; the oldest waiting getter, if any, takes it.
 
-    def put_nowait(self, item: Any) -> None:
-        """Deposit an item without creating a put event.
-
-        For callers that ignore the returned event (pool pre-fill and
-        buffer release), the StorePut event is pure overhead: it succeeds
-        immediately and nothing ever waits on it. Skipping it removes one
-        allocation and one scheduled no-op per put; because the dropped
-        event has no callbacks, the relative order of all remaining events
-        is unchanged. Falls back to :meth:`put` when the deposit cannot
-        complete immediately (bounded store at capacity, or queued putters
-        whose FIFO turn must come first).
+        A put never waits, so it creates no event: only the served get is
+        scheduled.
         """
-        if self._putters or len(self.items) >= self.capacity:
-            self.put(item)
-            return
         self.items.append(item)
         if self._getters:
             self._dispatch()
@@ -234,22 +206,8 @@ class Store:
         return True
 
     def _dispatch(self) -> None:
-        # Allocation-free rendezvous loop (this runs once per put/get, the
-        # hottest non-numpy path in the simulator).
+        # Satisfy getters, oldest first, with the oldest items.
         items = self.items
         getters = self._getters
-        putters = self._putters
-        while True:
-            progress = False
-            # Move queued puts into the store while capacity allows.
-            while putters and len(items) < self.capacity:
-                put = putters.popleft()
-                items.append(put.item)
-                put.succeed()
-                progress = True
-            # Satisfy getters, oldest first, with the oldest items.
-            while getters and items:
-                getters.popleft().succeed(items.pop(0))
-                progress = True
-            if not progress:
-                return
+        while getters and items:
+            getters.popleft().succeed(items.pop(0))

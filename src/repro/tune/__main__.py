@@ -53,13 +53,12 @@ def _print_table(table: TuningTable) -> None:
             format_size(entry.chunk_bytes),
             format_size(entry.pipeline_threshold),
             str(entry.tbuf_chunks),
-            "yes" if entry.use_plans else "no",
             _format_us(entry.latency), _format_us(entry.default_latency),
             f"{gain:.2f}x",
         ])
     print(render(
         ["Layout", "Bucket", "Backend", "Chunk", "Threshold", "Tbufs",
-         "Plans", "tuned (us)", "default (us)", "gain"],
+         "tuned (us)", "default (us)", "gain"],
         rows,
         title=f"Tuning table {table.provenance()} "
         f"({len(table)} entries, workload {table.meta.get('workload', '?')})",
@@ -75,7 +74,6 @@ def _cmd_search(args) -> int:
             chunk_bytes=tuple(args.chunks) if args.chunks else space.chunk_bytes,
             pipeline_threshold=space.pipeline_threshold,
             tbuf_chunks=space.tbuf_chunks,
-            use_plans=space.use_plans,
             backend=tuple(args.backends) if args.backends else space.backend,
         )
     sizes = args.sizes

@@ -2,7 +2,7 @@
 
 The tuner the paper's "administrator tuned 64 KB once per cluster" implies
 but never describes: sweep the pipeline knobs -- ``chunk_bytes``,
-``pipeline_threshold``, ``tbuf_chunks``, ``use_plans`` -- over simulated
+``pipeline_threshold``, ``tbuf_chunks``, ``backend`` -- over simulated
 Figure-5-style transfers and persist the winner per ``(layout signature,
 message-size bucket)`` into a :class:`~repro.tune.table.TuningTable`.
 
@@ -68,7 +68,6 @@ class Candidate:
     chunk_bytes: int
     pipeline_threshold: int
     tbuf_chunks: int
-    use_plans: bool
     backend: str = "gpu"
 
     def to_config(self) -> GpuNcConfig:
@@ -82,7 +81,6 @@ class Candidate:
             chunk_bytes=self.chunk_bytes,
             pipeline_threshold=self.pipeline_threshold,
             tbuf_chunks=self.tbuf_chunks,
-            use_plans=self.use_plans,
             backend=self.backend,
         )
 
@@ -91,7 +89,7 @@ class Candidate:
         cfg = GpuNcConfig()
         return cls(cfg.chunk_bytes,
                    min(cfg.pipeline_threshold, cfg.chunk_bytes),
-                   cfg.tbuf_chunks, cfg.use_plans, "gpu")
+                   cfg.tbuf_chunks, "gpu")
 
 
 def pipeline_engages(size: int, cand: Candidate) -> bool:
@@ -115,14 +113,12 @@ class SearchSpace:
     )
     pipeline_threshold: Tuple[int, ...] = (64 * KiB,)
     tbuf_chunks: Tuple[int, ...] = (32, 64)
-    use_plans: Tuple[bool, ...] = (True, False)
     backend: Tuple[str, ...] = ("gpu",)
 
     @classmethod
     def smoke(cls) -> "SearchSpace":
         """Tiny 2-chunk-value space for the CI ``tune-smoke`` job."""
-        return cls(chunk_bytes=(16 * KiB, 64 * KiB), tbuf_chunks=(64,),
-                   use_plans=(True,))
+        return cls(chunk_bytes=(16 * KiB, 64 * KiB), tbuf_chunks=(64,))
 
     def candidates(self) -> List[Candidate]:
         """The sorted, normalized grid with the default force-included.
@@ -133,10 +129,10 @@ class SearchSpace:
         the degenerate shape ``pipeline_engages`` rejects per size.
         """
         grid = {
-            Candidate(c, min(p, c), t, u, b)
-            for c, p, t, u, b in product(
+            Candidate(c, min(p, c), t, b)
+            for c, p, t, b in product(
                 self.chunk_bytes, self.pipeline_threshold,
-                self.tbuf_chunks, self.use_plans, self.backend,
+                self.tbuf_chunks, self.backend,
             )
         }
         grid.add(Candidate.default())
@@ -147,8 +143,7 @@ def _rank(cand: Candidate, latency: float,
           default: Candidate) -> tuple:
     """Total order on trial outcomes: latency, then closeness to default.
 
-    Ties (common: ``use_plans`` and sub-threshold knobs are simulated-time
-    invariant) resolve toward the default knob values, then toward the
+    Ties (common: sub-threshold knobs are simulated-time invariant) resolve toward the default knob values, then toward the
     smaller candidate, never toward float noise or iteration order.
     """
     return (
@@ -156,7 +151,6 @@ def _rank(cand: Candidate, latency: float,
         abs(_l2(cand.chunk_bytes) - _l2(default.chunk_bytes)),
         abs(_l2(cand.tbuf_chunks) - _l2(default.tbuf_chunks)),
         abs(_l2(cand.pipeline_threshold) - _l2(default.pipeline_threshold)),
-        cand.use_plans is not default.use_plans,
         cand.backend != default.backend,
         cand,
     )
@@ -343,7 +337,6 @@ def run_search(
                 pipeline_threshold=min(winner.pipeline_threshold,
                                        winner.chunk_bytes),
                 tbuf_chunks=winner.tbuf_chunks,
-                use_plans=winner.use_plans,
                 latency=win_latency,
                 default_latency=default_latency,
                 backend=winner.backend,

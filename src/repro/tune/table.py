@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Bump when the on-disk layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Lookup-resolution LRU capacity per table.
 LOOKUP_LRU_CAP = 128
@@ -97,7 +97,6 @@ class TuningEntry:
     chunk_bytes: int
     pipeline_threshold: int
     tbuf_chunks: int
-    use_plans: bool
     #: Simulated one-way latency of the tuned and the default config on
     #: the search workload (provenance; not consulted at runtime).
     latency: float = 0.0

@@ -203,7 +203,7 @@ def backend_table(sig, bucket, backend, chunk=64 * KiB):
     table = TuningTable("test")
     table.set(sig, bucket, TuningEntry(
         chunk_bytes=chunk, pipeline_threshold=min(chunk, 64 * KiB),
-        tbuf_chunks=64, use_plans=True, backend=backend,
+        tbuf_chunks=64, backend=backend,
     ))
     return table
 

@@ -10,8 +10,13 @@ Three layers of guarantee:
   plans on and off, for every src/dst host/device combination;
 * trace equality -- the Figure 3 pipelined transfer produces the *same
   simulated schedule* (every traced interval, and the final clock) with
-  plans + event pooling enabled as with both disabled. The optimizations
-  are wall-clock only.
+  plan replay and event pooling as on the reference route without both.
+  The optimizations are wall-clock only.
+
+The reference route is selected by patching, not by an engine option:
+``GpuPipelineBackend.wants_plans = False`` sends every chunk through the
+ad-hoc GPU pack/unpack path, and ``TIMEOUT_POOL_CAP = 0`` means no
+timeout is ever recycled (the unpooled kernel).
 """
 
 import numpy as np
@@ -19,12 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GpuNcConfig
+import repro.sim.events
+from repro.core.backends import GpuPipelineBackend
 from repro.core.plan import TransferPlan
 from repro.hw import Cluster
 from repro.hw.memory import Arena
 from repro.mpi import BYTE, Datatype, MpiWorld
 from repro.mpi.pack import pack_bytes, pack_range_bytes, unpack_range_from
+from repro.perf.stats import PERF
 from repro.sim import Environment
 
 
@@ -140,7 +147,24 @@ def test_plan_cache_reuses_compiled_plans():
 ROWS = 1 << 13  # 32 KiB packed / 64 KiB span: rendezvous + pipelined
 
 
-def _transfer(use_plans: bool, src_dev: bool, dst_dev: bool) -> np.ndarray:
+def _reference(monkeypatch, run, pooling=True):
+    """``run()`` on the ad-hoc pack route (and, unless ``pooling``, with
+    no timeout recycled); asserts that route really ran."""
+    with monkeypatch.context() as patch:
+        patch.setattr(GpuPipelineBackend, "wants_plans", False)
+        if not pooling:
+            patch.setattr(repro.sim.events, "TIMEOUT_POOL_CAP", 0)
+        before = PERF.snapshot()
+        result = run()
+        after = PERF.snapshot()
+    rose = {k for k in after if after[k] != before.get(k, 0)}
+    assert not {k for k in rose if k.startswith("plan_cache_")}, rose
+    if not pooling:
+        assert "event_pool_hit" not in rose
+    return result
+
+
+def _transfer(src_dev: bool, dst_dev: bool) -> np.ndarray:
     vec = Datatype.hvector(ROWS, 4, 8, BYTE).commit()
     span = ROWS * 8
     rng = np.random.default_rng(20110926)
@@ -156,25 +180,24 @@ def _transfer(use_plans: bool, src_dev: bool, dst_dev: bool) -> np.ndarray:
             yield from ctx.comm.Recv(buf, 1, vec, source=0)
             return pack_bytes(buf, vec, 1)
 
-    world = MpiWorld(Cluster(2), gpu_config=GpuNcConfig(use_plans=use_plans))
-    return world.run(program)[1]
+    return MpiWorld(Cluster(2)).run(program)[1]
 
 
 @pytest.mark.parametrize("src_dev", [False, True])
 @pytest.mark.parametrize("dst_dev", [False, True])
-def test_transfer_bytes_identical_plans_on_off(src_dev, dst_dev):
-    with_plans = _transfer(True, src_dev, dst_dev)
-    without = _transfer(False, src_dev, dst_dev)
+def test_transfer_bytes_identical_plans_on_off(src_dev, dst_dev, monkeypatch):
+    with_plans = _transfer(src_dev, dst_dev)
+    without = _reference(monkeypatch, lambda: _transfer(src_dev, dst_dev))
     assert np.array_equal(with_plans, without)
 
 
 # -- Figure 3 trace equality: optimizations are wall-clock only -----------------
 
-def _fig3_trace(use_plans: bool, event_pooling: bool, recovery=None):
+def _fig3_trace(recovery=None):
     """One pipelined strided transfer; returns (intervals, final clock)."""
     rows = 1 << 14
     vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
-    env = Environment(event_pooling=event_pooling)
+    env = Environment()
     cluster = Cluster(2, env=env)
 
     def program(ctx):
@@ -186,22 +209,21 @@ def _fig3_trace(use_plans: bool, event_pooling: bool, recovery=None):
             yield from ctx.comm.Recv(buf, 1, vec, source=0)
             return pack_bytes(buf, vec, 1)
 
-    world = MpiWorld(cluster, gpu_config=GpuNcConfig(use_plans=use_plans),
-                     recovery=recovery)
+    world = MpiWorld(cluster, recovery=recovery)
     delivered = world.run(program)[1]
     assert np.all(delivered == 7)
     return cluster.tracer.intervals, env.now
 
 
-def test_fig3_trace_identical_with_and_without_optimizations():
+def test_fig3_trace_identical_with_and_without_optimizations(monkeypatch):
     """Plan replay + event pooling change nothing the simulation observes.
 
     Every traced interval (start, end, engine, label) and the final
-    simulated clock must be identical whether the optimizations are on
-    (the default) or off.
+    simulated clock must be identical on the default route and on the
+    reference route without plans or pooled timeouts.
     """
-    fast_ivs, fast_now = _fig3_trace(use_plans=True, event_pooling=True)
-    ref_ivs, ref_now = _fig3_trace(use_plans=False, event_pooling=False)
+    fast_ivs, fast_now = _fig3_trace()
+    ref_ivs, ref_now = _reference(monkeypatch, _fig3_trace, pooling=False)
     assert fast_now == ref_now
     assert len(fast_ivs) == len(ref_ivs)
     assert fast_ivs == ref_ivs
@@ -219,10 +241,8 @@ def test_fig3_trace_identical_with_recovery_armed():
     """
     from repro.core.config import RecoveryConfig
 
-    armed_ivs, armed_now = _fig3_trace(
-        use_plans=True, event_pooling=True, recovery=RecoveryConfig()
-    )
-    ref_ivs, ref_now = _fig3_trace(use_plans=True, event_pooling=True)
+    armed_ivs, armed_now = _fig3_trace(recovery=RecoveryConfig())
+    ref_ivs, ref_now = _fig3_trace()
     assert armed_now == ref_now
     assert armed_ivs == ref_ivs
 

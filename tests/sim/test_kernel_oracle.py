@@ -17,6 +17,7 @@ import pytest
 from repro.apps import StencilConfig
 from repro.apps.stencil2d import _initial_global, _stencil_program
 from repro.core import GpuNcConfig
+from repro.core.backends import GpuPipelineBackend
 from repro.core.config import RecoveryConfig
 from repro.hw import Cluster, HardwareConfig
 from repro.ib.faults import FaultPlan, FaultSpec
@@ -144,13 +145,16 @@ def _ran(counters, before):
 
 
 def _strided_device(rows=1 << 20, gpu_config=None, recv_count=1,
-                    recovery=None, ran=("backend_gpu_chunks",)) -> str:
+                    recovery=None, ran=("backend_gpu_chunks",),
+                    plans=True) -> str:
     """A strided device vector of ``rows`` 4-byte blocks, rank 0 -> 1.
 
     The default 4 MiB message is 64 chunks, more than the 32-chunk
     rendezvous window, so the receiver's granter refills from drained
     chunks. ``recv_count`` > 1 posts a receive larger than the message,
-    which drains without a compiled plan.
+    which drains without a compiled plan. ``plans=False`` keeps the GPU
+    pipeline off compiled plans altogether (the ad-hoc pack/unpack
+    reference route) and asserts that no plan was compiled or served.
     """
     vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
     span = rows * 8
@@ -170,8 +174,15 @@ def _strided_device(rows=1 << 20, gpu_config=None, recv_count=1,
             assert (got == want.reshape(rows, 8)[:, :4]).all()
 
     before = PERF.snapshot()
-    world.run(program, until=1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        if not plans:
+            patch.setattr(GpuPipelineBackend, "wants_plans", False)
+        world.run(program, until=1.0)
     _ran(ran, before)
+    if not plans:
+        after = PERF.snapshot()
+        for name in ("plan_cache_hit", "plan_cache_miss"):
+            assert after.get(name, 0) == before.get(name, 0), f"{name} ran"
     return _digest(cluster)
 
 
@@ -280,8 +291,7 @@ PINNED = {
         "1b74ccdc11512d5e841c58422e3dd930a18a3902814981149d3818c35138c9d4",
     ),
     "vector_no_plans": (
-        lambda: _strided_device(rows=1 << 16,
-                                gpu_config=GpuNcConfig(use_plans=False)),
+        lambda: _strided_device(rows=1 << 16, plans=False),
         "1b74ccdc11512d5e841c58422e3dd930a18a3902814981149d3818c35138c9d4",
     ),
     "host_rendezvous_window2": (

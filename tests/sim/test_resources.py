@@ -118,7 +118,7 @@ class TestStore:
 
         def producer():
             yield env.timeout(3.0)
-            yield store.put("late")
+            store.put("late")
 
         env.process(consumer())
         env.process(producer())
@@ -139,29 +139,6 @@ class TestStore:
         env.run(env.process(consumer()))
         assert got == [0, 1, 2, 3, 4]
 
-    def test_bounded_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        done = []
-
-        def producer():
-            yield store.put("a")
-            done.append(("a", env.now))
-            yield store.put("b")
-            done.append(("b", env.now))
-
-        def consumer():
-            yield env.timeout(5.0)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert done == [("a", 0.0), ("b", 5.0)]
-
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
     def test_len(self, env):
         store = Store(env)
         assert len(store) == 0
@@ -181,8 +158,8 @@ class TestStore:
 
         def producer():
             yield env.timeout(1.0)
-            yield store.put("x")
-            yield store.put("y")
+            store.put("x")
+            store.put("y")
 
         env.process(producer())
         env.run()

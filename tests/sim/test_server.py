@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.events
 from repro.perf.stats import PERF
 from repro.sim import Environment, Resource, Server, SimulationError
 
@@ -150,9 +151,9 @@ class TestTimeoutAt:
         env.run()
         assert PERF.snapshot().get("event_pool_hit", 0) - before >= 48
 
-    def test_same_order_with_pooling_off(self):
-        def trace(pooling):
-            env = Environment(event_pooling=pooling)
+    def test_same_order_with_pooling_off(self, monkeypatch):
+        def trace():
+            env = Environment()
             seen = []
 
             def proc(k):
@@ -165,7 +166,13 @@ class TestTimeoutAt:
             env.run()
             return seen
 
-        assert trace(True) == trace(False)
+        pooled = trace()
+        # With a zero cap no timeout is ever recycled: the unpooled kernel.
+        monkeypatch.setattr(repro.sim.events, "TIMEOUT_POOL_CAP", 0)
+        before = PERF.snapshot().get("event_pool_hit", 0)
+        unpooled = trace()
+        assert PERF.snapshot().get("event_pool_hit", 0) == before
+        assert pooled == unpooled
 
 
 # -- spawn --------------------------------------------------------------------------

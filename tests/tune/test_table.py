@@ -25,7 +25,7 @@ def make_table(**chunks):
     for bucket, chunk in chunks.items():
         table.set(SIG, int(bucket), TuningEntry(
             chunk_bytes=chunk, pipeline_threshold=min(chunk, 64 * KiB),
-            tbuf_chunks=64, use_plans=True,
+            tbuf_chunks=64,
         ))
     return table
 
@@ -63,6 +63,19 @@ class TestPersistence:
         with pytest.raises(TuningTableError, match="schema"):
             TuningTable.load(p)
 
+    def test_schema1_table_with_use_plans_rejected(self, tmp_path):
+        # Schema 1 carried a use_plans knob per entry; schema 2 dropped it.
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({
+            "schema": 1, "cluster": "x",
+            "entries": {"uniform:w4:p8|s65536": {
+                "chunk_bytes": 16384, "pipeline_threshold": 16384,
+                "tbuf_chunks": 64, "use_plans": True,
+            }},
+        }))
+        with pytest.raises(TuningTableError, match="schema 2, got 1"):
+            TuningTable.load(p)
+
     def test_cluster_mismatch_rejected(self, tmp_path):
         p = make_table().save(tmp_path / "t.json")
         with pytest.raises(TuningTableError, match="tuned for cluster"):
@@ -71,17 +84,17 @@ class TestPersistence:
     def test_malformed_key_rejected(self):
         with pytest.raises(TuningTableError):
             TuningTable.from_json({
-                "schema": 1, "cluster": "x",
+                "schema": 2, "cluster": "x",
                 "entries": {"nonsense": {
                     "chunk_bytes": 1, "pipeline_threshold": 1,
-                    "tbuf_chunks": 1, "use_plans": True,
+                    "tbuf_chunks": 1,
                 }},
             })
 
     def test_bad_entry_values_rejected(self):
         with pytest.raises(TuningTableError, match="chunk_bytes"):
             TuningEntry(chunk_bytes=0, pipeline_threshold=1,
-                        tbuf_chunks=1, use_plans=True)
+                        tbuf_chunks=1)
 
     def test_not_json_rejected(self, tmp_path):
         p = tmp_path / "garbage.json"
@@ -141,7 +154,7 @@ class TestLookup:
         assert table.lookup(SIG, 64 * KiB).chunk_bytes == 16 * KiB
         table.set(SIG, 64 * KiB, TuningEntry(
             chunk_bytes=32 * KiB, pipeline_threshold=32 * KiB,
-            tbuf_chunks=64, use_plans=True,
+            tbuf_chunks=64,
         ))
         assert table.lookup(SIG, 64 * KiB).chunk_bytes == 32 * KiB
 
@@ -178,7 +191,7 @@ class TestTunedChunkPref:
 
 def ctx_entry(chunk):
     return TuningEntry(chunk_bytes=chunk, pipeline_threshold=min(chunk, 64 * KiB),
-                       tbuf_chunks=64, use_plans=True)
+                       tbuf_chunks=64)
 
 
 class TestCollectiveContext:
@@ -235,10 +248,10 @@ class TestCollectiveContext:
     def test_from_json_rejects_unknown_ctx(self):
         with pytest.raises(TuningTableError, match="context"):
             TuningTable.from_json({
-                "schema": 1, "cluster": "x",
+                "schema": 2, "cluster": "x",
                 "entries": {"uniform:w4:p8|s65536|weird:f4": {
                     "chunk_bytes": 1024, "pipeline_threshold": 1024,
-                    "tbuf_chunks": 1, "use_plans": True,
+                    "tbuf_chunks": 1,
                 }},
             })
 
